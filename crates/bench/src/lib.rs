@@ -821,10 +821,12 @@ pub fn telemetry_row(name: impl Into<String>, program: &CExp, threads: usize) ->
         analyse_kcfa_shared_parallel_traced::<1, _>(program, threads, &mut trace);
     let traced_time = start.elapsed();
 
-    // `steal_events` is a scheduling gauge, legitimately different between
-    // any two runs (traced or not); every deterministic counter must agree.
+    // `steal_events` and `shard_imbalance` are scheduling gauges,
+    // legitimately different between any two runs (traced or not); every
+    // deterministic counter must agree.
     let normalise = |mut s: EngineStats| {
         s.steal_events = 0;
+        s.shard_imbalance = 0;
         // The traced solve resolves extra labels out of the interner when
         // draining worker buffers, so the stripe-contention gauge
         // legitimately differs between the two runs.

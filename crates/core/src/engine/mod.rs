@@ -324,10 +324,17 @@ impl fmt::Display for EngineStats {
 ///
 /// This is the engine-facing view of the language crates'
 /// [`Touches`] instances: the address type becomes an
-/// associated type so that the shared-store engine can name it without an
+/// associated type so that the shared-store engines can name it without an
 /// unconstrained type parameter.  The contract is the one abstract garbage
 /// collection (§6.4) already relies on: a transition from `self` may only
 /// fetch addresses inside `reachable(self.state_roots(), store)`.
+///
+/// The roots serve abstract GC ([`with_state_gc`]), the successor closure
+/// of GC'd branches, and the structural/rescanning oracle engines.  The
+/// id-indexed engines no longer close them over the store for ordinary
+/// dependency tracking: they record what a step actually read
+/// ([`crate::store::reads`]).  `tests/read_journal.rs` checks this
+/// contract against those recorded reads at every reached state.
 pub trait StateRoots {
     /// The address type this state touches.
     type Addr: Address;

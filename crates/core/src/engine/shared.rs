@@ -66,6 +66,30 @@
 //! all ([`EngineStats::rebuild_rounds`] counts these rounds; the engine's
 //! unit tests force one with a deliberately non-monotone machine).
 //!
+//! ## What a cached outcome depends on
+//!
+//! A cached outcome is replayed until an address it depends on grows.  The
+//! structural and rescanning engines bound that set the §6.4 way, by
+//! [`reachable`] closures over the [`StateRoots`] ([`CacheEntry::deps`]).
+//! On closure-heavy programs that closure spans most of the store, and
+//! computing it on every step costs more than the step itself.  The
+//! id-indexed engine ([`InternedEntry::deps`]) depends on
+//!
+//! * the addresses the step **read** — recorded by the thread's
+//!   [read journal](crate::store::reads) while the transition runs, so
+//!   a read is an effect the engine observes rather than bounds;
+//! * its changed **write targets** — a weak update joins into the current
+//!   binding, so the target's old value is an input;
+//! * for branches that dropped bindings (ran abstract GC), the
+//!   successor's **reachability closure** in the branch's result store —
+//!   which bindings GC keeps depends on reachability through all of it.
+//!
+//! A language that honours the [`StateRoots`] contract reads only inside
+//! the closure of its roots, so the journal is never looser than the
+//! closure it replaces; `tests/read_journal.rs` checks that contract at
+//! every reached state, and the resulting fixpoint against
+//! [`explore_fp`](crate::collect::explore_fp).
+//!
 //! Three observationally equivalent solvers are exposed, newest first:
 //!
 //! * [`FrontierCollecting::explore_frontier`] — id-indexed incremental
@@ -88,7 +112,7 @@ use crate::hash::{FxHashMap, FxHashSet};
 use crate::intern::{InternKey, Interner, StateId};
 use crate::lattice::Lattice;
 use crate::monad::{run_store_passing, MonadFamily, StorePassing, Value};
-use crate::store::{StoreDelta, StoreLike};
+use crate::store::{reads, StoreDelta, StoreLike};
 use crate::telemetry::{label_of, RoundTrace, Stopwatch, TraceSink};
 
 use super::governor::{Budget, Outcome, ResumeSeed, SolveFrom};
@@ -124,7 +148,10 @@ struct CacheEntry<Ps, G, S, A> {
     successors: BTreeSet<(Ps, G)>,
     /// The join of the per-branch result stores.
     store: S,
-    /// Every address the transition may have read:
+    /// Every address the transition may have read, bounded by closures
+    /// rather than observed (the structural engines are the reference the
+    /// id-indexed engine's [read journal](crate::store::reads) is checked
+    /// against):
     ///
     /// * the reachable closure of the pair's roots in the pre-store (what
     ///   the semantics may `fetch`),
@@ -164,8 +191,12 @@ pub(super) struct InternedEntry<S, A> {
     /// The join of the per-branch result stores, restricted to the
     /// addresses the step changed relative to its pre-store.
     pub(super) delta: S,
-    /// Every address the transition may have read (see [`CacheEntry::deps`];
-    /// sorted, deduplicated).
+    /// The addresses whose growth may change this entry (sorted,
+    /// deduplicated): what the step read, per the read journal; its
+    /// changed write targets still bound in the result (`bind` joins into
+    /// the current binding, as for [`CacheEntry::deps`]); and, for
+    /// branches that dropped bindings, the successor's reachability
+    /// closure in that branch's result store.
     pub(super) deps: Vec<A>,
 }
 
@@ -258,6 +289,10 @@ where
 /// cache entry.  The intern sink is abstract so the same stepping core
 /// serves the sequential engine (a `&mut` [`Interner`]) and the parallel
 /// engine (a shared [`ShardedInterner`](crate::intern::ShardedInterner)).
+///
+/// The thread's [read journal](crate::store::reads) is armed around the
+/// transition alone, so it records exactly the step's reads (see
+/// [`InternedEntry::deps`] for the rest of the dependency set).
 pub(super) fn step_entry<Ps, G, S, F, IN>(
     step: &F,
     ps: Ps,
@@ -273,10 +308,12 @@ where
     F: StepFn<Ps, G, S>,
     IN: FnMut((Ps, G)) -> StateId,
 {
-    let mut deps = reachable(ps.state_roots(), store);
+    reads::arm::<Ps::Addr>();
+    let branches = step.step(ps, guts, store.clone());
+    let mut deps = reads::take::<Ps::Addr>();
     let mut successors: Vec<StateId> = Vec::new();
     let mut delta = S::bottom();
-    for ((ps2, g2), s2) in step.step(ps, guts, store.clone()) {
+    for ((ps2, g2), s2) in branches {
         // Same write-targets-are-reads rule as `step_pair`, probing the
         // handful of changed addresses directly instead of materialising
         // the full address set of the result store.  While probing, watch
@@ -285,16 +322,15 @@ where
         let mut dropped = false;
         for a in &changed {
             if s2.contains(a) {
-                deps.insert(a.clone());
+                deps.push(a.clone());
             } else {
                 dropped = true;
             }
         }
         // A branch that dropped nothing is a pure weak update: its delta is
         // confined to its write targets (all registered above) and its
-        // successors are a function of its fetches (all inside the
-        // pre-state closure), so the entry cannot be perturbed through any
-        // other address and the successor-side closure is redundant.  A
+        // successors are a function of its fetches (all in the journal),
+        // so the entry cannot be perturbed through any other address.  A
         // branch that *did* drop bindings ran abstract GC, and whether a
         // write target stays dropped depends on reachability through the
         // whole result store — so there, like the structural engines, the
@@ -312,10 +348,12 @@ where
     }
     successors.sort_unstable();
     successors.dedup();
+    deps.sort_unstable();
+    deps.dedup();
     InternedEntry {
         successors,
         delta,
-        deps: deps.into_iter().collect(),
+        deps,
     }
 }
 
@@ -1361,9 +1399,13 @@ mod tests {
         };
 
         let budget = Budget::unlimited().with_widening(WidenPolicy::after_growths(3));
-        let (outcome, _) =
-            <SharedStoreDomain<NarrowSt, u64, IS> as DirectCollecting<NarrowSt, u64, IS>>::
-                explore_frontier_governed(&step, SolveFrom::Fresh(NarrowSt(0)), &budget);
+        let (outcome, _) = <SharedStoreDomain<NarrowSt, u64, IS> as DirectCollecting<
+            NarrowSt,
+            u64,
+            IS,
+        >>::explore_frontier_governed(
+            &step, SolveFrom::Fresh(NarrowSt(0)), &budget
+        );
         let fixpoint = outcome.into_complete();
 
         // The loop cell widens to [0,+∞) and narrowing cannot tighten it

@@ -8,7 +8,7 @@ use crate::env::CowSet;
 use crate::lattice::Lattice;
 use crate::pmap::PMap;
 
-use super::StoreLike;
+use super::{reads, StoreLike};
 
 /// The standard abstract store of the abstracted abstract machine:
 /// a point-wise map from addresses to *sets* of values,
@@ -117,6 +117,7 @@ where
     }
 
     fn fetch(&self, a: &A) -> Self::D {
+        reads::record(a);
         self.bindings
             .get(a)
             .map(|vs| vs.as_set().clone())
@@ -126,10 +127,12 @@ where
     fn contains(&self, a: &A) -> bool {
         // Cheaper than the trait default, which materialises the fetched
         // set just to test it for bottom.
+        reads::record(a);
         self.bindings.get(a).is_some_and(|vs| !vs.is_empty())
     }
 
     fn fetch_ref(&self, a: &A) -> Option<&Self::D> {
+        reads::record(a);
         self.bindings.get(a).map(CowSet::as_set)
     }
 

@@ -8,7 +8,7 @@ use crate::env::CowSet;
 use crate::lattice::{AbsNat, Lattice};
 use crate::pmap::PMap;
 
-use super::StoreLike;
+use super::{reads, StoreLike};
 
 /// A store that additionally tracks, for every address, an [`AbsNat`]
 /// abstract count of how many times it has been allocated/bound:
@@ -143,6 +143,7 @@ where
     }
 
     fn fetch(&self, a: &A) -> Self::D {
+        reads::record(a);
         self.bindings
             .get(a)
             .map(|(vs, _)| vs.as_set().clone())
@@ -150,6 +151,7 @@ where
     }
 
     fn fetch_ref(&self, a: &A) -> Option<&Self::D> {
+        reads::record(a);
         self.bindings.get(a).map(|(vs, _)| vs.as_set())
     }
 
@@ -228,6 +230,7 @@ where
     V: Ord + Clone + fmt::Debug + Send + Sync + 'static,
 {
     fn count(&self, a: &A) -> AbsNat {
+        reads::record(a);
         self.bindings
             .get(a)
             .map(|(_, n)| *n)

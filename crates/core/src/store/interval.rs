@@ -21,7 +21,7 @@ use crate::addr::Address;
 use crate::lattice::{Interval, Lattice, WidenLattice};
 use crate::pmap::PMap;
 
-use super::{StoreDelta, StoreLike};
+use super::{reads, StoreDelta, StoreLike};
 
 /// A point-wise map from addresses to [`Interval`]s:
 /// `Ŝtore = Âddr → Interval`.
@@ -190,14 +190,17 @@ impl<A: Address> StoreLike<A> for IntervalStore<A> {
     }
 
     fn fetch(&self, a: &A) -> Self::D {
+        reads::record(a);
         self.bindings.get(a).copied().unwrap_or(Interval::Empty)
     }
 
     fn fetch_ref(&self, a: &A) -> Option<&Self::D> {
+        reads::record(a);
         self.bindings.get(a)
     }
 
     fn contains(&self, a: &A) -> bool {
+        reads::record(a);
         self.bindings.get(a).is_some_and(|i| !i.is_bottom())
     }
 

@@ -16,6 +16,7 @@
 mod basic;
 mod counting;
 mod interval;
+pub mod reads;
 
 pub use basic::BasicStore;
 pub use counting::{Counter, CountingStore};
@@ -270,6 +271,115 @@ mod tests {
         assert!(s.is_bottom());
         assert_eq!(s.binding_count(), 0);
         assert!(!s.contains(&3));
+    }
+
+    /// A named per-address read accessor of a store.
+    type Accessor<'a, S> = (&'a str, &'a dyn Fn(&S, &u8));
+
+    /// The read-journal contract for one store type, given its per-address
+    /// read accessors (each called at address 1 of `store`).
+    fn check_read_journal<S: StoreLike<u8>>(store: S, accessors: &[Accessor<'_, S>]) {
+        for (name, read) in accessors {
+            reads::arm::<u8>();
+            read(&store, &1);
+            assert_eq!(reads::take::<u8>(), vec![1], "{name} did not record");
+            read(&store, &1);
+            assert!(reads::take::<u8>().is_empty(), "{name} recorded unarmed");
+        }
+
+        // `take` disarms and clears: nothing is left for a second take,
+        // and later reads are not recorded.
+        reads::arm::<u8>();
+        store.fetch(&1);
+        assert_eq!(reads::take::<u8>().len(), 1);
+        store.fetch(&1);
+        assert!(reads::take::<u8>().is_empty());
+
+        // Reads through clones and derived stores made inside the step
+        // belong to the step.
+        reads::arm::<u8>();
+        let branch = store.clone();
+        branch.clone().filter_store(|a| *a != 3).fetch(&3);
+        branch.contains(&4);
+        assert_eq!(reads::take::<u8>(), vec![3, 4]);
+
+        // A step that panics while armed leaks nothing into the next arm.
+        reads::arm::<u8>();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.fetch(&5);
+            panic!("step failed mid-transition");
+        }));
+        assert!(panicked.is_err());
+        reads::arm::<u8>();
+        store.fetch(&6);
+        assert_eq!(reads::take::<u8>(), vec![6]);
+
+        // A journal armed for another address type records nothing here.
+        reads::arm::<u16>();
+        store.fetch(&1);
+        assert!(reads::take::<u16>().is_empty());
+    }
+
+    #[test]
+    fn basic_store_reads_are_journaled() {
+        let s: BasicStore<u8, u8> = BasicStore::empty_store().bind(1, [9u8].into_iter().collect());
+        check_read_journal(
+            s,
+            &[
+                ("fetch", &|s, a| {
+                    let _ = s.fetch(a);
+                }),
+                ("fetch_ref", &|s, a| {
+                    let _ = s.fetch_ref(a);
+                }),
+                ("contains", &|s, a| {
+                    let _ = s.contains(a);
+                }),
+            ],
+        );
+    }
+
+    #[test]
+    fn counting_store_reads_are_journaled() {
+        let s: CountingStore<u8, u8> =
+            CountingStore::empty_store().bind(1, [9u8].into_iter().collect());
+        check_read_journal(
+            s,
+            &[
+                ("fetch", &|s, a| {
+                    let _ = s.fetch(a);
+                }),
+                ("fetch_ref", &|s, a| {
+                    let _ = s.fetch_ref(a);
+                }),
+                ("contains", &|s, a| {
+                    let _ = s.contains(a);
+                }),
+                ("count", &|s, a| {
+                    let _ = s.count(a);
+                }),
+            ],
+        );
+    }
+
+    #[test]
+    fn interval_store_reads_are_journaled() {
+        let s: IntervalStore<u8> =
+            IntervalStore::empty_store().bind(1, crate::lattice::Interval::singleton(9));
+        check_read_journal(
+            s,
+            &[
+                ("fetch", &|s, a| {
+                    let _ = s.fetch(a);
+                }),
+                ("fetch_ref", &|s, a| {
+                    let _ = s.fetch_ref(a);
+                }),
+                ("contains", &|s, a| {
+                    let _ = s.contains(a);
+                }),
+            ],
+        );
     }
 
     #[test]

@@ -230,9 +230,9 @@ pub trait TraceSink {
     /// (cumulative attribution: called once per step of that state).
     fn state_cost(&mut self, _label: &str, _ns: u64) {}
 
-    /// A folded delta touched the address labelled `label`; `widened` is
+    /// A folded delta touched the address labelled `label`; `grew` is
     /// whether the accumulated binding actually grew.
-    fn join_traffic(&mut self, _label: &str, _widened: bool) {}
+    fn join_traffic(&mut self, _label: &str, _grew: bool) {}
 }
 
 /// The do-nothing sink behind every untraced engine entry point.
@@ -364,7 +364,7 @@ pub struct HotAddr {
     /// How many folded deltas bound the address.
     pub joins: usize,
     /// How many of those joins actually grew the accumulated binding.
-    pub widenings: usize,
+    pub grew: usize,
 }
 
 /// Wall-clock totals across all recorded rounds, by phase.
@@ -441,10 +441,10 @@ impl TraceSink for TraceBuffer {
         *total += ns;
     }
 
-    fn join_traffic(&mut self, label: &str, widened: bool) {
-        let (joins, widenings) = self.join_counts.entry(label.to_owned()).or_default();
+    fn join_traffic(&mut self, label: &str, grew: bool) {
+        let (joins, growths) = self.join_counts.entry(label.to_owned()).or_default();
         *joins += 1;
-        *widenings += usize::from(widened);
+        *growths += usize::from(grew);
     }
 }
 
@@ -487,21 +487,21 @@ impl TraceBuffer {
     }
 
     /// The `k` addresses with the most join traffic, descending (ties
-    /// broken by widenings, then label).
+    /// broken by how many of the joins grew the binding, then label).
     pub fn top_addresses(&self, k: usize) -> Vec<HotAddr> {
         let mut all: Vec<HotAddr> = self
             .join_counts
             .iter()
-            .map(|(label, &(joins, widenings))| HotAddr {
+            .map(|(label, &(joins, grew))| HotAddr {
                 label: label.clone(),
                 joins,
-                widenings,
+                grew,
             })
             .collect();
         all.sort_by(|a, b| {
             b.joins
                 .cmp(&a.joins)
-                .then_with(|| b.widenings.cmp(&a.widenings))
+                .then_with(|| b.grew.cmp(&a.grew))
                 .then_with(|| a.label.cmp(&b.label))
         });
         all.truncate(k);
@@ -842,8 +842,8 @@ impl TraceBuffer {
             for h in hot_addrs {
                 let _ = writeln!(
                     out,
-                    "  {:>5} joins ({:>4} widenings)  {}",
-                    h.joins, h.widenings, h.label
+                    "  {:>5} joins ({:>4} grew)  {}",
+                    h.joins, h.grew, h.label
                 );
             }
         }
@@ -950,7 +950,7 @@ mod tests {
         let addrs = buf.top_addresses(10);
         assert_eq!(addrs[0].label, "a0");
         assert_eq!(addrs[0].joins, 2);
-        assert_eq!(addrs[0].widenings, 1);
+        assert_eq!(addrs[0].grew, 1);
 
         let workers = buf.worker_totals();
         assert_eq!(workers, vec![(0, 1, 0, 900, 100), (1, 4, 1, 1_800, 200)]);

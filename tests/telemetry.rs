@@ -174,13 +174,15 @@ fn parallel_driver_traced_matches_untraced() {
             traced, untraced,
             "t{threads}: parallel fixpoint changed under tracing"
         );
-        // `steal_events` is a scheduling gauge (how often a worker ran dry
-        // and claimed a chunk), and `stripe_acquisitions` counts interner
-        // lock traffic (the traced run resolves extra labels) — both
+        // `steal_events` and `shard_imbalance` are scheduling gauges (how
+        // often a worker ran dry and claimed a chunk, how unevenly the
+        // shards' work fell), and `stripe_acquisitions` counts interner
+        // lock traffic (the traced run resolves extra labels) — all
         // legitimately different between any two runs; every deterministic
         // counter must agree exactly.
         let normalise = |mut s: EngineStats| {
             s.steal_events = 0;
+            s.shard_imbalance = 0;
             s.stripe_acquisitions = 0;
             s
         };
