@@ -13,16 +13,15 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use mai_core::collect::explore_fp;
-use mai_core::engine::{Budget, CancelToken, EngineStats, ExhaustReason, Outcome, ParallelConfig};
+use mai_core::engine::{Budget, CancelToken, EngineStats, ExhaustReason, Outcome};
 use mai_core::telemetry::TraceBuffer;
 use mai_core::{KCallAddr, KCallCtx, StorePassing};
 use mai_cps::analysis::{
-    analyse_kcfa, analyse_kcfa_shared, analyse_kcfa_shared_direct, analyse_kcfa_shared_elastic,
-    analyse_kcfa_shared_elastic_governed, analyse_kcfa_shared_elastic_traced,
-    analyse_kcfa_shared_gc, analyse_kcfa_shared_governed, analyse_kcfa_shared_parallel,
-    analyse_kcfa_shared_parallel_traced, analyse_kcfa_shared_rescan, analyse_kcfa_shared_resume,
-    analyse_kcfa_shared_structural, analyse_kcfa_shared_worklist, analyse_mono, distinct_env_count,
-    AnalysisMetrics, KCfaShared, KStore,
+    analyse_kcfa, analyse_kcfa_shared, analyse_kcfa_shared_direct,
+    analyse_kcfa_shared_direct_traced, analyse_kcfa_shared_gc, analyse_kcfa_shared_governed,
+    analyse_kcfa_shared_rescan, analyse_kcfa_shared_resume, analyse_kcfa_shared_structural,
+    analyse_kcfa_shared_worklist, analyse_mono, distinct_env_count, AnalysisMetrics, KCfaShared,
+    KStore,
 };
 use mai_cps::syntax::CExp;
 use mai_cps::{mnext, PState};
@@ -564,150 +563,6 @@ pub fn direct_row(name: impl Into<String>, program: &CExp, repeats: usize) -> Di
     }
 }
 
-/// One row of the E12 comparison: the same 1CFA shared-store analysis
-/// solved by the sequential direct engine and by the sharded parallel
-/// driver at one thread count.
-#[derive(Debug, Clone)]
-pub struct ParallelRow {
-    /// The workload name.
-    pub program: String,
-    /// The worker thread count of the parallel solve.
-    pub threads: usize,
-    /// `(state, guts)` pairs in the fixpoint (identical for both drivers).
-    pub configurations: usize,
-    /// Work statistics of the sequential direct solve (the determinism
-    /// oracle).
-    pub direct: EngineStats,
-    /// Wall-clock time of the sequential direct solve.
-    pub direct_time: Duration,
-    /// Work statistics of the parallel solve.  The deterministic work
-    /// counters (steps, joins, rounds, widenings, intern traffic) are
-    /// identical to the direct side by construction — asserted by
-    /// [`parallel_row`] — and `sync_rounds`/`steal_events`/
-    /// `shard_imbalance` describe the sharding itself.
-    pub parallel: EngineStats,
-    /// Wall-clock time of the parallel solve.
-    pub parallel_time: Duration,
-    /// Whether the two fixpoints were identical (they always must be).
-    pub equal: bool,
-}
-
-impl ParallelRow {
-    /// Wall-clock speedup of the parallel driver over the sequential
-    /// direct engine (>1 means sharding won).
-    pub fn speedup(&self) -> f64 {
-        let parallel = self.parallel_time.as_secs_f64();
-        if parallel > 0.0 {
-            self.direct_time.as_secs_f64() / parallel
-        } else {
-            f64::NAN
-        }
-    }
-
-    /// Renders the row in the fixed-width format used by the report
-    /// binary.  The headline column is the wall-clock speedup; the sync/
-    /// steal/imbalance counters describe how the sharding behaved.
-    pub fn render(&self) -> String {
-        format!(
-            "{:<18} threads={:<2} states={:<6} syncs={:<4} steals={:<5} imbalance={:<5} \
-             direct={:<10.2?} parallel={:<10.2?} speedup={:<5.2} equal={}",
-            self.program,
-            self.threads,
-            self.parallel.distinct_states,
-            self.parallel.sync_rounds,
-            self.parallel.steal_events,
-            self.parallel.shard_imbalance,
-            self.direct_time,
-            self.parallel_time,
-            self.speedup(),
-            self.equal,
-        )
-    }
-
-    /// The JSON rendering of the row for `BENCH_report.json` (thread count
-    /// recorded so rows at different counts stay distinct baselines).
-    pub fn to_json(&self) -> Json {
-        Json::obj(
-            [
-                ("program", Json::Str(self.program.clone())),
-                ("threads", Json::Int(self.threads as u64)),
-                ("configurations", Json::Int(self.configurations as u64)),
-                ("direct", engine_stats_json(&self.direct)),
-                ("direct_ms", Json::Num(self.direct_time.as_secs_f64() * 1e3)),
-                ("parallel", engine_stats_json(&self.parallel)),
-                (
-                    "parallel_ms",
-                    Json::Num(self.parallel_time.as_secs_f64() * 1e3),
-                ),
-                ("speedup", Json::Num(self.speedup())),
-                ("equal", Json::Bool(self.equal)),
-            ]
-            .into_iter()
-            .chain(timing_fields(self.direct_time + self.parallel_time)),
-        )
-    }
-}
-
-/// Runs the E12 comparison for one program at one thread count: 1CFA with
-/// a shared store, solved by the sequential direct engine and by the
-/// sharded parallel driver.  Both solves are repeated `repeats` times
-/// (minimum taken), and the deterministic work counters are asserted to
-/// agree between the drivers — the parallel engine must do the *same*
-/// work, just spread across shards.
-pub fn parallel_row(
-    name: impl Into<String>,
-    program: &CExp,
-    threads: usize,
-    repeats: usize,
-) -> ParallelRow {
-    let name = name.into();
-    let repeats = repeats.max(1);
-    let mut direct_time = Duration::MAX;
-    let mut parallel_time = Duration::MAX;
-    let mut measured: Option<(KCfaShared<1>, EngineStats, KCfaShared<1>, EngineStats)> = None;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let (direct, direct_stats) = analyse_kcfa_shared_direct::<1>(program);
-        direct_time = direct_time.min(start.elapsed());
-
-        let start = Instant::now();
-        let (parallel, parallel_stats) = analyse_kcfa_shared_parallel::<1>(program, threads);
-        parallel_time = parallel_time.min(start.elapsed());
-        measured = Some((direct, direct_stats, parallel, parallel_stats));
-    }
-    let (direct, direct_stats, parallel, parallel_stats) = measured.expect("at least one repeat");
-    assert_eq!(
-        (
-            direct_stats.iterations,
-            direct_stats.states_stepped,
-            direct_stats.store_joins,
-            direct_stats.store_joins_applied,
-            direct_stats.widen_applied,
-            direct_stats.spine_clones,
-        ),
-        (
-            parallel_stats.iterations,
-            parallel_stats.states_stepped,
-            parallel_stats.store_joins,
-            parallel_stats.store_joins_applied,
-            parallel_stats.widen_applied,
-            parallel_stats.spine_clones,
-        ),
-        "{name}: parallel driver diverged from the direct engine's work counters"
-    );
-
-    ParallelRow {
-        program: name,
-        threads,
-        configurations: parallel.len(),
-        direct: direct_stats,
-        direct_time,
-        parallel: parallel_stats,
-        parallel_time,
-        equal: direct == parallel,
-    }
-}
-
 /// Runs the E9 comparison for one program: 1CFA with a shared store, solved
 /// by the incremental accumulator and by the PR-1 rescanning engine.
 pub fn incremental_row(name: &'static str, program: &CExp) -> IncrementalRow {
@@ -730,19 +585,16 @@ pub fn incremental_row(name: &'static str, program: &CExp) -> IncrementalRow {
     }
 }
 
-/// One row of the E13 telemetry profile: the sharded parallel driver
-/// solved once untraced and once with the [`TraceBuffer`] sink attached,
-/// at the same thread count.  Tracing is pure observation — the traced
-/// solve must reproduce the untraced fixpoint and the *full*
-/// [`EngineStats`] bit-for-bit, which [`telemetry_row`] asserts — and the
-/// trace decomposes the wall-clock into per-round step/join/sync phases
-/// and per-worker busy/barrier-wait spans.
+/// One row of the E13 telemetry profile: the sequential direct engine
+/// solved once untraced and once with the [`TraceBuffer`] sink attached.
+/// Tracing is pure observation — the traced solve must reproduce the
+/// untraced fixpoint and the *full* [`EngineStats`] bit-for-bit, which
+/// [`telemetry_row`] asserts — and the trace decomposes the wall-clock
+/// into per-round step/join phases plus the hot-spot attribution.
 #[derive(Debug)]
 pub struct TelemetryRow {
     /// The workload name.
     pub program: String,
-    /// The worker thread count of both solves.
-    pub threads: usize,
     /// `(state, guts)` pairs in the fixpoint.
     pub configurations: usize,
     /// Work statistics (identical for the traced and untraced solves).
@@ -761,21 +613,17 @@ pub struct TelemetryRow {
 
 impl TelemetryRow {
     /// Renders the row in the fixed-width format used by the report
-    /// binary: the wall-clock split into the three phases, plus the
-    /// steal traffic the trace attributes.
+    /// binary: the wall-clock split into the step and join phases.
     pub fn render(&self) -> String {
         let totals = self.trace.phase_totals();
         let ms = |ns: u64| ns as f64 / 1e6;
         format!(
-            "{:<18} threads={:<2} rounds={:<4} step={:<8.3}ms join={:<8.3}ms sync={:<8.3}ms \
-             steals={:<4} untraced={:<10.2?} traced={:<10.2?} equal={}",
+            "{:<18} rounds={:<4} step={:<8.3}ms join={:<8.3}ms untraced={:<10.2?} \
+             traced={:<10.2?} equal={}",
             self.program,
-            self.threads,
             self.trace.rounds.len(),
             ms(totals.step_ns),
             ms(totals.join_ns),
-            ms(totals.sync_ns),
-            self.trace.steals.len(),
             self.untraced_time,
             self.traced_time,
             self.equal,
@@ -788,7 +636,6 @@ impl TelemetryRow {
         Json::obj(
             [
                 ("program", Json::Str(self.program.clone())),
-                ("threads", Json::Int(self.threads as u64)),
                 ("configurations", Json::Int(self.configurations as u64)),
                 ("engine", engine_stats_json(&self.stats)),
                 (
@@ -805,244 +652,32 @@ impl TelemetryRow {
     }
 }
 
-/// Runs the E13 profile for one program at one thread count: 1CFA with a
-/// shared store on the sharded parallel driver, untraced and traced.
-/// Panics if tracing perturbs any deterministic work counter — the
-/// telemetry layer's central guarantee.
-pub fn telemetry_row(name: impl Into<String>, program: &CExp, threads: usize) -> TelemetryRow {
+/// Runs the E13 profile for one program: 1CFA with a shared store on the
+/// sequential direct engine, untraced and traced.  Panics if tracing
+/// perturbs any work counter — the telemetry layer's central guarantee.
+pub fn telemetry_row(name: impl Into<String>, program: &CExp) -> TelemetryRow {
     let name = name.into();
     let start = Instant::now();
-    let (untraced, untraced_stats) = analyse_kcfa_shared_parallel::<1>(program, threads);
+    let (untraced, untraced_stats) = analyse_kcfa_shared_direct::<1>(program);
     let untraced_time = start.elapsed();
 
     let mut trace = TraceBuffer::new();
     let start = Instant::now();
-    let (traced, traced_stats) =
-        analyse_kcfa_shared_parallel_traced::<1, _>(program, threads, &mut trace);
+    let (traced, traced_stats) = analyse_kcfa_shared_direct_traced::<1, _>(program, &mut trace);
     let traced_time = start.elapsed();
 
-    // `steal_events` and `shard_imbalance` are scheduling gauges,
-    // legitimately different between any two runs (traced or not); every
-    // deterministic counter must agree.
-    let normalise = |mut s: EngineStats| {
-        s.steal_events = 0;
-        s.shard_imbalance = 0;
-        // The traced solve resolves extra labels out of the interner when
-        // draining worker buffers, so the stripe-contention gauge
-        // legitimately differs between the two runs.
-        s.stripe_acquisitions = 0;
-        s
-    };
     assert_eq!(
-        normalise(untraced_stats),
-        normalise(traced_stats),
-        "{name}@t{threads}: tracing perturbed the engine's work counters"
+        untraced_stats, traced_stats,
+        "{name}: tracing perturbed the engine's work counters"
     );
     TelemetryRow {
         program: name,
-        threads,
         configurations: traced.len(),
         stats: traced_stats,
         untraced_time,
         traced_time,
         trace,
         equal: untraced == traced,
-    }
-}
-
-/// One row of the E14 comparison: 1CFA with a shared store solved by the
-/// sequential direct engine (the oracle), the barrier parallel driver and
-/// the barrier-elastic driver at one `(threads, epochs)` point.
-#[derive(Debug, Clone)]
-pub struct ElasticRow {
-    /// The workload name.
-    pub program: String,
-    /// The worker thread count of both parallel solves.
-    pub threads: usize,
-    /// The elastic epoch budget (`epochs = 1` is the barrier engine).
-    pub epochs: usize,
-    /// `(state, guts)` pairs in the fixpoint (identical for all drivers).
-    pub configurations: usize,
-    /// Work statistics of the sequential direct solve.
-    pub direct: EngineStats,
-    /// Minimum wall-clock of the direct solve.
-    pub direct_time: Duration,
-    /// Median wall-clock of the direct solve.
-    pub direct_median: Duration,
-    /// Work statistics of the barrier parallel solve.
-    pub barrier: EngineStats,
-    /// Minimum wall-clock of the barrier solve.
-    pub barrier_time: Duration,
-    /// Median wall-clock of the barrier solve.
-    pub barrier_median: Duration,
-    /// Work statistics of the elastic solve.  The elastic counters
-    /// (`epochs_run`, `stale_merges`, memo and stripe traffic — and the
-    /// step/join counts themselves) are **timing-dependent**: reported,
-    /// never gated, never asserted equal to the barrier side.
-    pub elastic: EngineStats,
-    /// Minimum wall-clock of the elastic solve.
-    pub elastic_time: Duration,
-    /// Median wall-clock of the elastic solve.
-    pub elastic_median: Duration,
-    /// Share of worker time the barrier driver spent waiting at barriers
-    /// (from a separate traced solve; observation only).
-    pub barrier_wait_share: f64,
-    /// Share of worker time the elastic driver spent waiting at barriers.
-    pub elastic_wait_share: f64,
-    /// Whether all three fixpoints were identical (they always must be).
-    pub equal: bool,
-}
-
-impl ElasticRow {
-    /// Wall-clock speedup of the elastic driver over the barrier driver
-    /// at the same thread count (>1 means elasticity won).
-    pub fn speedup_vs_barrier(&self) -> f64 {
-        let elastic = self.elastic_time.as_secs_f64();
-        if elastic > 0.0 {
-            self.barrier_time.as_secs_f64() / elastic
-        } else {
-            f64::NAN
-        }
-    }
-
-    /// Wall-clock speedup of the elastic driver over the sequential
-    /// direct engine.
-    pub fn speedup_vs_direct(&self) -> f64 {
-        let elastic = self.elastic_time.as_secs_f64();
-        if elastic > 0.0 {
-            self.direct_time.as_secs_f64() / elastic
-        } else {
-            f64::NAN
-        }
-    }
-
-    /// Renders the row in the fixed-width format used by the report
-    /// binary.  The headline column is the elastic-vs-barrier speedup;
-    /// the epoch/stale/memo counters describe how elastic the run was.
-    pub fn render(&self) -> String {
-        format!(
-            "{:<18} threads={:<2} epochs={:<2} rounds={:<4} worker-epochs={:<5} stale={:<3} \
-             memo-hit={:<5.2} wait={:<4.2}->{:<4.2} barrier={:<10.2?} elastic={:<10.2?} \
-             speedup={:<5.2} equal={}",
-            self.program,
-            self.threads,
-            self.epochs,
-            self.elastic.sync_rounds,
-            self.elastic.epochs_run,
-            self.elastic.stale_merges,
-            self.elastic.worker_cache_hit_rate(),
-            self.barrier_wait_share,
-            self.elastic_wait_share,
-            self.barrier_time,
-            self.elastic_time,
-            self.speedup_vs_barrier(),
-            self.equal,
-        )
-    }
-
-    /// The JSON rendering of the row for `BENCH_report.json`.  Every
-    /// field of this section is reported-only — the elastic counters are
-    /// timing-dependent, so `--check-regress` gates none of it.
-    pub fn to_json(&self) -> Json {
-        let ms = |d: Duration| Json::Num(d.as_secs_f64() * 1e3);
-        Json::obj(
-            [
-                ("program", Json::Str(self.program.clone())),
-                ("threads", Json::Int(self.threads as u64)),
-                ("epochs", Json::Int(self.epochs as u64)),
-                ("configurations", Json::Int(self.configurations as u64)),
-                ("direct", engine_stats_json(&self.direct)),
-                ("direct_ms", ms(self.direct_time)),
-                ("direct_median_ms", ms(self.direct_median)),
-                ("barrier", engine_stats_json(&self.barrier)),
-                ("barrier_ms", ms(self.barrier_time)),
-                ("barrier_median_ms", ms(self.barrier_median)),
-                ("barrier_wait_share", Json::Num(self.barrier_wait_share)),
-                ("elastic", engine_stats_json(&self.elastic)),
-                ("elastic_ms", ms(self.elastic_time)),
-                ("elastic_median_ms", ms(self.elastic_median)),
-                ("elastic_wait_share", Json::Num(self.elastic_wait_share)),
-                ("speedup_vs_barrier", Json::Num(self.speedup_vs_barrier())),
-                ("speedup_vs_direct", Json::Num(self.speedup_vs_direct())),
-                (
-                    "median_wall_ms",
-                    ms(self.direct_median + self.barrier_median + self.elastic_median),
-                ),
-                ("equal", Json::Bool(self.equal)),
-            ]
-            .into_iter()
-            .chain(timing_fields(
-                self.direct_time + self.barrier_time + self.elastic_time,
-            )),
-        )
-    }
-}
-
-/// The share of total worker time a traced parallel solve spent waiting
-/// (barrier/idle) rather than stepping, from the trace's per-worker
-/// busy/wait totals.
-fn trace_wait_share(trace: &TraceBuffer) -> f64 {
-    let (busy, wait) = trace
-        .worker_totals()
-        .into_iter()
-        .fold((0u64, 0u64), |(b, w), (_, _, _, busy, wait)| {
-            (b + busy, w + wait)
-        });
-    if busy + wait == 0 {
-        0.0
-    } else {
-        wait as f64 / (busy + wait) as f64
-    }
-}
-
-/// Runs the E14 comparison for one program at one `(threads, epochs)`
-/// point: the sequential direct oracle, the barrier driver and the
-/// barrier-elastic driver, each repeated `repeats` times (minimum and
-/// median wall-clock reported).  The three fixpoints must agree
-/// byte-for-byte — that is the elastic driver's whole contract — but no
-/// counter parity is asserted: elastic work counts are timing-dependent.
-/// The barrier-wait decomposition comes from two extra traced solves so
-/// observation overhead never pollutes the timed runs.
-pub fn elastic_row(
-    name: impl Into<String>,
-    program: &CExp,
-    threads: usize,
-    epochs: usize,
-    repeats: usize,
-) -> ElasticRow {
-    let name = name.into();
-    let config = ParallelConfig { threads, epochs };
-    let ((direct, direct_stats), direct_time, direct_median) =
-        repeat_timed(repeats, || analyse_kcfa_shared_direct::<1>(program));
-    let ((barrier, barrier_stats), barrier_time, barrier_median) = repeat_timed(repeats, || {
-        analyse_kcfa_shared_parallel::<1>(program, threads)
-    });
-    let ((elastic, elastic_stats), elastic_time, elastic_median) = repeat_timed(repeats, || {
-        analyse_kcfa_shared_elastic::<1>(program, config)
-    });
-
-    let mut barrier_trace = TraceBuffer::new();
-    let _ = analyse_kcfa_shared_parallel_traced::<1, _>(program, threads, &mut barrier_trace);
-    let mut elastic_trace = TraceBuffer::new();
-    let _ = analyse_kcfa_shared_elastic_traced::<1, _>(program, config, &mut elastic_trace);
-
-    ElasticRow {
-        program: name,
-        threads,
-        epochs,
-        configurations: elastic.len(),
-        direct: direct_stats,
-        direct_time,
-        direct_median,
-        barrier: barrier_stats,
-        barrier_time,
-        barrier_median,
-        elastic: elastic_stats,
-        elastic_time,
-        elastic_median,
-        barrier_wait_share: trace_wait_share(&barrier_trace),
-        elastic_wait_share: trace_wait_share(&elastic_trace),
-        equal: elastic == direct && barrier == direct,
     }
 }
 
@@ -1168,17 +803,12 @@ pub fn governed_row(name: impl Into<String>, program: &CExp, max_steps: usize) -
     }
 }
 
-/// One row of the `--parallel-smoke` cancellation exercise: a governed
-/// elastic solve with a token cancelled from a watchdog thread after
-/// `cancel_after`.
+/// One row of the E15 cancellation exercise: a governed solve with a
+/// token cancelled from a watchdog thread after `cancel_after`.
 #[derive(Debug, Clone)]
 pub struct CancelLatencyRow {
     /// The workload name.
     pub program: String,
-    /// Worker threads of the elastic solve.
-    pub threads: usize,
-    /// Epoch budget of the elastic solve.
-    pub epochs: usize,
     /// How long the watchdog waited before cancelling.
     pub cancel_after: Duration,
     /// Total wall-clock until the solve returned.
@@ -1213,11 +843,9 @@ impl CancelLatencyRow {
     /// Renders the row in the fixed-width format used by the report binary.
     pub fn render(&self) -> String {
         format!(
-            "{:<18} threads={:<2} epochs={:<3} cancel_after={:<8.2?} wall={:<8.2?} \
-             latency={:<8.2?} rounds={:<4} cancelled={} completed={}",
+            "{:<18} cancel_after={:<8.2?} wall={:<8.2?} latency={:<8.2?} rounds={:<4} \
+             cancelled={} completed={}",
             self.program,
-            self.threads,
-            self.epochs,
             self.cancel_after,
             self.wall,
             self.latency(),
@@ -1264,7 +892,7 @@ pub type CountBranch = ((CountState, u64), mai_core::store::IntervalStore<u8>);
 /// needs `Θ(c)` rounds while widening converges in `Θ(threshold)`.
 pub fn counting_step(
     cap: Option<i64>,
-) -> impl Fn(CountState, u64, mai_core::store::IntervalStore<u8>) -> Vec<CountBranch> + Sync {
+) -> impl Fn(CountState, u64, mai_core::store::IntervalStore<u8>) -> Vec<CountBranch> {
     use mai_core::lattice::{Interval, Lattice, MeetLattice};
     use mai_core::store::StoreLike;
     move |ps, g, s| match ps.0 {
@@ -1338,7 +966,7 @@ fn m_counting_step(
 /// One row of the E16 comparison: the interval counting loop solved
 /// join-only under a step budget (the unbounded variant must starve it),
 /// then with engine widening points and the narrowing post-pass, on both
-/// carriers plus the parallel and elastic drivers.
+/// carriers.
 #[derive(Debug, Clone)]
 pub struct WideningRow {
     /// The workload name.
@@ -1363,18 +991,6 @@ pub struct WideningRow {
     /// Whether the `Rc`-closure carrier produced the byte-identical
     /// outcome and work counters.
     pub carrier_parity: bool,
-    /// Whether the barrier-parallel driver reproduced the fixpoint and
-    /// every deterministic counter at `threads` workers.
-    pub parallel_parity: bool,
-    /// Whether the elastic driver reproduced the fixpoint (its widening
-    /// counters are timing-dependent and deliberately unchecked).  On
-    /// this single-cell workload the fixpoint itself is
-    /// schedule-independent — see the derivation at the parity solve —
-    /// which is what licenses asserting byte-equality for a driver whose
-    /// widening points are otherwise timing-dependent.
-    pub elastic_parity: bool,
-    /// Worker threads of the parallel/elastic parity solves.
-    pub threads: usize,
     /// Wall-clock time of the whole row (reported, never gated).
     pub wall: Duration,
 }
@@ -1383,8 +999,7 @@ impl WideningRow {
     /// Renders the row in the fixed-width format used by the report binary.
     pub fn render(&self) -> String {
         format!(
-            "{:<18} cap={:<6} join_only={:<11} widens={:<3} bound={:<9} carrier={:<5} \
-             parallel={:<5} elastic={}",
+            "{:<18} cap={:<6} join_only={:<11} widens={:<3} bound={:<9} carrier={}",
             self.program,
             self.cap.map_or("none".to_string(), |c| c.to_string()),
             self.join_only_reason
@@ -1392,8 +1007,6 @@ impl WideningRow {
             self.widened.widen_applied,
             self.bound,
             self.carrier_parity,
-            self.parallel_parity,
-            self.elastic_parity,
         )
     }
 
@@ -1420,9 +1033,6 @@ impl WideningRow {
                 ("bound", Json::Str(self.bound.clone())),
                 ("finite_bounds", Json::Int(self.finite_bounds as u64)),
                 ("carrier_parity", Json::Bool(self.carrier_parity)),
-                ("parallel_parity", Json::Bool(self.parallel_parity)),
-                ("elastic_parity", Json::Bool(self.elastic_parity)),
-                ("threads", Json::Int(self.threads as u64)),
             ]
             .into_iter()
             .chain(timing_fields(self.wall)),
@@ -1433,19 +1043,13 @@ impl WideningRow {
 /// Runs the E16 exercise for one counting-loop variant: a join-only solve
 /// under `step_budget` (recording whether it starved), then the widened
 /// solve (`WidenPolicy::after_growths(3)`, two narrowing passes) on the
-/// direct carrier, the `Rc` carrier, the barrier-parallel driver and the
-/// elastic driver.  Everything except the parity solves' wall-clock is
-/// deterministic.
-pub fn widening_row(
-    name: impl Into<String>,
-    cap: Option<i64>,
-    step_budget: usize,
-    threads: usize,
-) -> WideningRow {
+/// direct carrier and the `Rc` carrier.  Everything except the row's
+/// wall-clock is deterministic.
+pub fn widening_row(name: impl Into<String>, cap: Option<i64>, step_budget: usize) -> WideningRow {
     use mai_core::engine::WidenPolicy;
     use mai_core::monad::run_store_passing;
     use mai_core::store::StoreLike;
-    use mai_core::{DirectCollecting, ParallelCollecting, SolveFrom};
+    use mai_core::{DirectCollecting, SolveFrom};
     type IS = mai_core::store::IntervalStore<u8>;
     let name = name.into();
     let start = Instant::now();
@@ -1482,48 +1086,6 @@ pub fn widening_row(
     let carrier_parity =
         rc_outcome.is_complete() && *rc_outcome.value() == fixpoint && rc_stats == widened_stats;
 
-    let parallel_parity = <WideningDomain as ParallelCollecting<CountState, u64, IS>>::
-        explore_frontier_parallel_governed(
-            &step,
-            SolveFrom::Fresh(CountState(0)),
-            threads,
-            &widened_budget,
-        )
-        .map(|(outcome, stats)| {
-            outcome.is_complete()
-                && *outcome.value() == fixpoint
-                && (
-                    stats.states_stepped,
-                    stats.store_joins_applied,
-                    stats.widen_applied,
-                ) == (
-                    widened_stats.states_stepped,
-                    widened_stats.store_joins_applied,
-                    widened_stats.widen_applied,
-                )
-        })
-        .unwrap_or(false);
-
-    // Byte-equality is deliberate here even though elastic widening-point
-    // selection is timing-dependent: on this workload it is deterministic.
-    // The loop has a single interval cell whose lower bound never grows
-    // (every contribution is ⊒ [0, ..] once state 0's init lands) and
-    // whose upper bound grows every merge until widened, so *any*
-    // merge/point schedule drives the cell to exactly [0, +∞); the state
-    // set {0, 1, 2} is schedule-independent; and the narrowing pass is a
-    // pure function of that final pair.  A multi-cell workload would not
-    // support this assertion — elastic runs there are only guaranteed a
-    // sound post-fixpoint, not the sequential engines' bytes.
-    let elastic_parity = <WideningDomain as ParallelCollecting<CountState, u64, IS>>::
-        explore_frontier_elastic_governed(
-            &step,
-            SolveFrom::Fresh(CountState(0)),
-            ParallelConfig { threads, epochs: 2 },
-            &widened_budget,
-        )
-        .map(|(outcome, _)| outcome.is_complete() && *outcome.value() == fixpoint)
-        .unwrap_or(false);
-
     WideningRow {
         program: name,
         cap,
@@ -1533,22 +1095,17 @@ pub fn widening_row(
         bound,
         finite_bounds,
         carrier_parity,
-        parallel_parity,
-        elastic_parity,
-        threads,
         wall: start.elapsed(),
     }
 }
 
-/// Runs one governed elastic solve with a watchdog thread cancelling the
-/// budget's token after `cancel_after`.  The solve must either complete
-/// first or stop with `Exhausted(Cancelled)` — the row's [`CancelLatencyRow::ok`]
-/// is the `--parallel-smoke` gate.
+/// Runs one governed solve with a watchdog thread cancelling the budget's
+/// token after `cancel_after`.  The solve must either complete first or
+/// stop with `Exhausted(Cancelled)` — the row's [`CancelLatencyRow::ok`]
+/// is the E15 gate.
 pub fn cancel_latency_row(
     name: impl Into<String>,
     program: &CExp,
-    threads: usize,
-    epochs: usize,
     cancel_after: Duration,
 ) -> CancelLatencyRow {
     let token = CancelToken::new();
@@ -1558,88 +1115,16 @@ pub fn cancel_latency_row(
         token.cancel();
     });
     let start = Instant::now();
-    let (outcome, stats) = analyse_kcfa_shared_elastic_governed::<1>(
-        program,
-        ParallelConfig { threads, epochs },
-        &budget,
-    )
-    .expect("no worker fault without an installed fault plan");
+    let (outcome, stats) = analyse_kcfa_shared_governed::<1>(program, &budget);
     let wall = start.elapsed();
     let _ = watchdog.join();
     CancelLatencyRow {
         program: name.into(),
-        threads,
-        epochs,
         cancel_after,
         wall,
         cancelled: outcome.exhaust_reason() == Some(ExhaustReason::Cancelled),
         completed: outcome.is_complete(),
         rounds: stats.iterations,
-    }
-}
-
-/// One row of the `--parallel-smoke` fault-ladder exercise (only built
-/// under the `fault-inject` feature): both parallel rungs are forced to
-/// panic and the ladder must still return the sequential oracle's
-/// byte-identical fixpoint.
-#[cfg(feature = "fault-inject")]
-#[derive(Debug, Clone)]
-pub struct FaultLadderRow {
-    /// The workload name.
-    pub program: String,
-    /// Worker threads of the faulted parallel rungs.
-    pub threads: usize,
-    /// The rung that produced the result (stable identifier).
-    pub rung: &'static str,
-    /// How many rungs faulted on the way down.
-    pub faults: usize,
-    /// Whether the ladder's fixpoint equals the sequential oracle's.
-    pub equal: bool,
-    /// Wall-clock time of the whole descent.
-    pub wall: Duration,
-}
-
-#[cfg(feature = "fault-inject")]
-impl FaultLadderRow {
-    /// Renders the row in the fixed-width format used by the report binary.
-    pub fn render(&self) -> String {
-        format!(
-            "{:<18} threads={:<2} rung={:<17} faults={:<2} wall={:<8.2?} equal={}",
-            self.program, self.threads, self.rung, self.faults, self.wall, self.equal,
-        )
-    }
-}
-
-/// Forces the full fault cascade — worker 0 panics on its first elastic
-/// step and again on its first barrier step — and runs the degradation
-/// ladder.  Worker 0's fault counter persists across rungs within the one
-/// installed plan, so both parallel rungs fault deterministically and the
-/// sequential rung (which never consults the plan) answers.
-#[cfg(feature = "fault-inject")]
-pub fn fault_ladder_row(name: impl Into<String>, program: &CExp, threads: usize) -> FaultLadderRow {
-    use mai_core::engine::FaultPlan;
-
-    let start = Instant::now();
-    let (oracle, _) = analyse_kcfa_shared_direct::<1>(program);
-    let guard = FaultPlan::new().panic_at(0, 0).panic_at(0, 1).install();
-    // The injected panics are caught by the ladder; mute the default hook
-    // while they fire so the smoke output stays one row, not backtraces.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let (outcome, _, report) = mai_cps::analysis::analyse_kcfa_shared_ladder::<1>(
-        program,
-        ParallelConfig { threads, epochs: 2 },
-        &Budget::unlimited(),
-    );
-    std::panic::set_hook(default_hook);
-    drop(guard);
-    FaultLadderRow {
-        program: name.into(),
-        threads,
-        rung: report.rung.as_str(),
-        faults: report.faults.len(),
-        equal: outcome.into_complete() == oracle,
-        wall: start.elapsed(),
     }
 }
 
@@ -1670,44 +1155,9 @@ mod tests {
         let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
         // Zero delay: the token is cancelled effectively immediately, so
         // the solve is cut short (or, degenerately, wins the race).
-        let row = cancel_latency_row("kcfa-worst-2w3", &program, 2, 4, Duration::ZERO);
+        let row = cancel_latency_row("kcfa-worst-2w3", &program, Duration::ZERO);
         assert!(row.ok(), "cancel token ignored: {}", row.render());
         assert!(!row.render().is_empty());
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn fault_ladder_rows_descend_to_the_sequential_rung() {
-        let program = mai_cps::programs::kcfa_worst_case(2);
-        let row = fault_ladder_row("kcfa-worst-2", &program, 2);
-        assert!(row.equal, "ladder fixpoint diverged: {}", row.render());
-        assert_eq!(row.rung, "sequential-direct");
-        assert_eq!(row.faults, 2);
-    }
-
-    #[test]
-    fn elastic_rows_agree_and_record_epochs() {
-        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-        for (threads, epochs) in [(1usize, 1usize), (2, 4)] {
-            let row = elastic_row("kcfa-worst-2w3", &program, threads, epochs, 2);
-            assert!(row.equal, "elastic/barrier/direct fixpoints differ");
-            assert_eq!((row.threads, row.epochs), (threads, epochs));
-            assert_eq!(row.configurations, row.elastic.distinct_states);
-            if epochs > 1 {
-                // The elastic machinery actually engaged: epochs ran and
-                // the per-worker memo saw traffic.
-                assert!(row.elastic.epochs_run >= row.elastic.sync_rounds);
-                assert!(row.elastic.worker_cache_hits + row.elastic.worker_cache_misses > 0);
-            } else {
-                assert_eq!(row.elastic.epochs_run, 0, "epochs=1 delegates to barrier");
-            }
-            let json = row.to_json().render();
-            assert!(json.contains("\"epochs\""));
-            assert!(json.contains("\"median_wall_ms\""));
-            assert!(json.contains("\"worker_cache_hit_rate\""));
-            assert!(json.contains("\"speedup_vs_barrier\""));
-            assert!(!row.render().is_empty());
-        }
     }
 
     #[test]
@@ -1814,30 +1264,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rows_agree_and_record_threads() {
-        let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
-        for threads in [1usize, 2] {
-            let row = parallel_row("kcfa-worst-2w3", &program, threads, 2);
-            assert!(row.equal, "parallel and direct fixpoints differ");
-            assert_eq!(row.threads, threads);
-            // Deterministic work counters must match the direct oracle
-            // (parallel_row itself asserts the core set; spot-check more).
-            assert_eq!(row.parallel.cache_hits, row.direct.cache_hits);
-            assert_eq!(row.parallel.reenqueued, row.direct.reenqueued);
-            assert_eq!(row.parallel.intern_misses, row.direct.intern_misses);
-            // The parallel driver syncs once per round; the sequential
-            // engine never syncs.
-            assert_eq!(row.parallel.sync_rounds, row.parallel.iterations);
-            assert_eq!(row.direct.sync_rounds, 0);
-            let json = row.to_json().render();
-            assert!(json.contains("\"threads\""));
-            assert!(json.contains("\"sync_rounds\""));
-            assert!(json.contains("\"steal_events\""));
-            assert!(json.contains("\"speedup\""));
-        }
-    }
-
-    #[test]
     fn every_row_kind_reports_wall_ms_and_host_cpus() {
         let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
         let jsons = vec![
@@ -1846,8 +1272,7 @@ mod tests {
             incremental_row("kcfa-worst-2w3", &program).to_json(),
             interned_row("kcfa-worst-2w3", &program, 1).to_json(),
             direct_row("kcfa-worst-2w3", &program, 1).to_json(),
-            parallel_row("kcfa-worst-2w3", &program, 2, 1).to_json(),
-            telemetry_row("kcfa-worst-2w3", &program, 2).to_json(),
+            telemetry_row("kcfa-worst-2w3", &program).to_json(),
         ];
         for json in jsons {
             assert!(
@@ -1869,25 +1294,24 @@ mod tests {
         let program = mai_cps::programs::kcfa_worst_case_scaled(2, 3);
         // telemetry_row itself asserts EngineStats equality between the
         // traced and untraced solves; `equal` covers the fixpoint.
-        let row = telemetry_row("kcfa-worst-2w3", &program, 2);
+        let row = telemetry_row("kcfa-worst-2w3", &program);
         assert!(row.equal, "traced fixpoint differs from untraced");
         assert_eq!(row.trace.rounds.len(), row.stats.iterations);
-        // Every round stepped something and the worker spans cover every
-        // round (two workers joined per sync round).
+        // Every round stepped something, and the rounds account for every
+        // step of the solve.
         assert!(row.trace.rounds.iter().all(|r| r.stepped > 0));
-        assert!(!row.trace.workers.is_empty());
-        let processed: usize = row.trace.workers.iter().map(|s| s.processed).sum();
-        assert_eq!(processed, row.stats.states_stepped);
+        let stepped: usize = row.trace.rounds.iter().map(|r| r.stepped).sum();
+        assert_eq!(stepped, row.stats.states_stepped);
         // The trace attributes step cost and join traffic to real labels.
         assert!(!row.trace.top_states(4).is_empty());
         assert!(!row.trace.top_addresses(4).is_empty());
         let json = row.to_json().render();
         assert!(json.contains("\"phase_totals\""));
         assert!(json.contains("\"hot_states\""));
-        // The Chrome export parses and carries all three phase categories.
+        // The Chrome export parses and carries both phase categories.
         let chrome = Json::parse(&row.trace.chrome_trace_json()).expect("chrome trace parses");
         let events = chrome.get("traceEvents").expect("traceEvents").items();
-        for cat in ["step", "join", "worker"] {
+        for cat in ["step", "join"] {
             assert!(
                 events
                     .iter()

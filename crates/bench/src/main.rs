@@ -1,5 +1,5 @@
 //! The experiment report binary: regenerates the qualitative tables listed
-//! in `EXPERIMENTS.md` (E1–E15), prints them to stdout and writes the
+//! in `EXPERIMENTS.md` (E1–E16), prints them to stdout and writes the
 //! machine-readable `BENCH_report.json` next to the current directory so
 //! the performance trajectory is tracked across PRs.
 //!
@@ -13,37 +13,30 @@
 //! work they had stopped doing.  Timing fields (`wall_ms`, `host_cpus`,
 //! `*_ms`) are recorded on every row but never gated.
 //!
-//! With `--trace-out <path>`, the binary instead solves one parallel kCFA
-//! workload with the tracing sink attached (worker count from `--threads`,
-//! default 2), writes the Chrome trace-event JSON to `<path>` (load it in
-//! Perfetto or `chrome://tracing`), and self-validates the export.  With
-//! `--profile`, it prints the human-readable phase/hot-spot profile of the
-//! same solve.
+//! With `--trace-out <path>`, the binary instead solves one kCFA workload
+//! on the sequential direct engine with the tracing sink attached, writes
+//! the Chrome trace-event JSON to `<path>` (load it in Perfetto or
+//! `chrome://tracing`), and self-validates the export.  With `--profile`,
+//! it prints the human-readable phase/hot-spot profile of the same solve.
 //!
-//! `--epochs E` sets the elastic epoch budget of the E14 section and the
-//! `--parallel-smoke` elastic row (default 4; `1` is the barrier engine).
 //! `--repeat N` overrides how often each timed solve is repeated — every
-//! repeated row reports the minimum (`*_ms`) and, for E14, the median
-//! (`*_median_ms`) wall-clock; `--check-regress` still samples counters
-//! only.
+//! repeated row reports the minimum (`*_ms`) wall-clock; `--check-regress`
+//! still samples counters only.
 //!
-//! Governance knobs (E15 and `--parallel-smoke`): `--max-steps N` sets the
-//! step budget of the E15 exhaustion/resume exercise (default 32);
-//! `--deadline-ms N` additionally prints a deadline-bounded solve of the
-//! largest workload (reported-only, never committed — wall-clock bound
-//! outcomes are host-dependent); `--cancel-after-ms N` sets the watchdog
-//! delay of the `--parallel-smoke` cancellation row (default 2).  Building
-//! with `--features fault-inject` adds a fault-ladder row to
-//! `--parallel-smoke`: both parallel rungs are forced to panic and the
-//! ladder must still answer with the sequential oracle's fixpoint.
+//! Governance knobs (E15): `--max-steps N` sets the step budget of the
+//! exhaustion/resume exercise (default 32); `--deadline-ms N` additionally
+//! prints a deadline-bounded solve of the largest workload (reported-only,
+//! never committed — wall-clock bound outcomes are host-dependent);
+//! `--cancel-after-ms N` sets the watchdog delay of the cancellation row
+//! (default 2).
 
 use std::time::Instant;
 
 use mai_bench::report::Json;
 use mai_bench::{
-    cancel_latency_row, cloning_vs_shared, cps_corpus, direct_row, elastic_row, gc_rows,
-    governed_row, host_cpus, incremental_row, interned_row, parallel_row, polyvariance_rows,
-    telemetry_row, widening_row, worklist_row, E10_SCALE_WIDTH, PROFILE_TOP_K,
+    cancel_latency_row, cloning_vs_shared, cps_corpus, direct_row, gc_rows, governed_row,
+    host_cpus, incremental_row, interned_row, polyvariance_rows, telemetry_row, widening_row,
+    worklist_row, E10_SCALE_WIDTH, PROFILE_TOP_K,
 };
 use mai_core::store::StoreLike;
 use mai_cps::analysis::{analyse_kcfa_shared, analyse_mono};
@@ -265,27 +258,10 @@ fn numeric_arg(flag: &str) -> Option<usize> {
     string_arg(flag).and_then(|v| v.parse().ok())
 }
 
-/// The E12 thread sweep: 1 and 2 workers plus the `--threads` top count
-/// (default 4), deduplicated and sorted.
-fn e12_thread_counts() -> Vec<usize> {
-    let top = numeric_arg("--threads").unwrap_or(4).max(1);
-    let mut counts = vec![1usize, 2, top];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
 /// The `--repeat` override: how often each timed solve is repeated
 /// (defaults to the section's own repeat count when absent).
 fn repeat_count(default: usize) -> usize {
     numeric_arg("--repeat").unwrap_or(default).max(1)
-}
-
-/// The `--epochs` knob: the elastic epoch budget of the E14 section and
-/// the `--parallel-smoke` elastic row (default 4; `1` is the barrier
-/// engine).
-fn epoch_budget() -> usize {
-    numeric_arg("--epochs").unwrap_or(4).max(1)
 }
 
 /// The `--max-steps` knob: the step budget of the E15 exhaustion/resume
@@ -294,15 +270,15 @@ fn max_steps_budget() -> usize {
     numeric_arg("--max-steps").unwrap_or(32).max(1)
 }
 
-/// The `--cancel-after-ms` knob: the watchdog delay of the
-/// `--parallel-smoke` cancellation row (default 2ms).
+/// The `--cancel-after-ms` knob: the watchdog delay of the E15
+/// cancellation row (default 2ms).
 fn cancel_after() -> std::time::Duration {
     std::time::Duration::from_millis(numeric_arg("--cancel-after-ms").unwrap_or(2) as u64)
 }
 
-/// The E12 workload list: the scaled k-CFA worst-case lanes family at the
-/// acceptance depths.  Shared by the report and by `--check-regress`.
-fn e12_workloads() -> Vec<(String, mai_cps::syntax::CExp)> {
+/// The E13 workload list: the scaled k-CFA worst-case lanes family at the
+/// acceptance depths.
+fn e13_workloads() -> Vec<(String, mai_cps::syntax::CExp)> {
     (3..=6)
         .map(|n| {
             (
@@ -313,129 +289,24 @@ fn e12_workloads() -> Vec<(String, mai_cps::syntax::CExp)> {
         .collect()
 }
 
-/// E12 — the sharded parallel driver vs. the sequential direct engine:
-/// identical fixpoints and identical deterministic work counters at every
-/// thread count; wall-clock speedup when (and only when) the host has the
-/// cores — the section records `host_cpus` so a 1-CPU container's ≈1×
-/// rows are not mistaken for a scaling regression.
-fn experiment_parallel() -> Json {
-    heading("E12  sharded parallel driver vs. sequential direct engine (1CFA, shared store)");
-    println!("host cpus: {}", host_cpus());
-    let mut rows = Vec::new();
-    for (name, program) in e12_workloads() {
-        for threads in e12_thread_counts() {
-            let row = parallel_row(name.clone(), &program, threads, repeat_count(3));
-            println!("{}", row.render());
-            rows.push(row.to_json());
-        }
-    }
-    Json::obj([
-        ("host_cpus", Json::Int(host_cpus() as u64)),
-        ("rows", Json::Arr(rows)),
-    ])
-}
-
-/// The `--parallel-smoke` mode: one quick parallel-vs-direct row at the
-/// `--threads` worker count; non-zero exit unless the fixpoints (and the
-/// asserted work counters inside `parallel_row`) agree.
-fn parallel_smoke() -> std::process::ExitCode {
-    let threads = numeric_arg("--threads").unwrap_or(2).max(1);
-    let epochs = epoch_budget();
-    println!("Monadic Abstract Interpreters — parallel smoke ({threads} threads, {epochs} epochs)");
-    if host_cpus() == 1 {
-        println!("==================================================================");
-        println!("!! HOST HAS 1 CPU — PARITY ONLY, NO SCALING CLAIM               !!");
-        println!("!! the rows below verify fixpoint equality across drivers; the  !!");
-        println!("!! wall-clock columns measure nothing about parallel speedup.   !!");
-        println!("==================================================================");
-    }
-    let program = kcfa_worst_case_scaled(3, E10_SCALE_WIDTH);
-    let name = format!("kcfa-worst-3w{E10_SCALE_WIDTH}");
-    let row = parallel_row(name.clone(), &program, threads, 1);
-    println!("{}", row.render());
-    let elastic = elastic_row(name.clone(), &program, threads, epochs, 1);
-    println!("{}", elastic.render());
-    // Governance smoke: a watchdog thread cancels the elastic solve after
-    // `--cancel-after-ms` (default 2ms).  Either outcome — cancelled
-    // partial or completed fixpoint (on a fast host the solve can win the
-    // race) — passes; a hang or a mangled outcome fails.
-    let cancel = cancel_latency_row(name.clone(), &program, threads, epochs, cancel_after());
-    println!("{}", cancel.render());
-    #[cfg(feature = "fault-inject")]
-    let ladder_ok = {
-        let ladder = mai_bench::fault_ladder_row(name, &program, threads);
-        println!("{}", ladder.render());
-        ladder.equal
-    };
-    #[cfg(not(feature = "fault-inject"))]
-    let ladder_ok = {
-        println!("fault ladder       skipped (build with --features fault-inject to exercise it)");
-        true
-    };
-    if row.equal && elastic.equal && cancel.ok() && ladder_ok {
-        std::process::ExitCode::SUCCESS
-    } else {
-        eprintln!("a parallel smoke row failed (divergence, hung cancel, or ladder mismatch)");
-        std::process::ExitCode::FAILURE
-    }
-}
-
-/// The E13 thread sweep: the acceptance thread counts, fixed so the
-/// committed per-round profiles always decompose the same three ladder
-/// rungs (sequential-in-driver, two-way, four-way).
-const E13_THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// E13 — engine telemetry: the sharded parallel driver solved with the
-/// tracing sink attached, on the kCFA lanes family at 1/2/4 workers.
-/// Tracing is pure observation — each row asserts the traced solve
-/// reproduces the untraced fixpoint and work counters bit-for-bit — and
-/// the committed per-round profiles decompose every round's wall-clock
-/// into step, join and sync (barrier/coordination) time, with per-worker
-/// busy/wait spans and the hot-spot attribution.  All of it is
-/// reported-only: `--check-regress` gates nothing in this section.
+/// E13 — engine telemetry: the sequential direct engine solved with the
+/// tracing sink attached, on the kCFA lanes family.  Tracing is pure
+/// observation — each row asserts the traced solve reproduces the
+/// untraced fixpoint and work counters bit-for-bit — and the committed
+/// per-round profiles decompose every round's wall-clock into step and
+/// join time, with the hot-spot attribution.  All of it is reported-only:
+/// `--check-regress` gates nothing in this section.
 fn experiment_telemetry() -> Json {
-    heading("E13  engine telemetry (traced parallel driver, 1CFA, shared store)");
+    heading("E13  engine telemetry (traced direct engine, 1CFA, shared store)");
     println!("host cpus: {}", host_cpus());
     let mut rows = Vec::new();
-    for (name, program) in e12_workloads() {
-        for threads in E13_THREAD_COUNTS {
-            let row = telemetry_row(name.clone(), &program, threads);
-            println!("{}", row.render());
-            rows.push(row.to_json());
-        }
+    for (name, program) in e13_workloads() {
+        let row = telemetry_row(name, &program);
+        println!("{}", row.render());
+        rows.push(row.to_json());
     }
     Json::obj([
         ("host_cpus", Json::Int(host_cpus() as u64)),
-        ("rows", Json::Arr(rows)),
-    ])
-}
-
-/// E14 — the barrier-elastic driver vs. the barrier driver vs. the
-/// sequential direct engine: byte-identical fixpoints at every
-/// `(threads, epochs)` point (gated by the differential suite and by the
-/// `equal` flag here), wall-clock and barrier-wait share as the payoff
-/// metrics.  **Nothing in this section is gated**: elastic work counters
-/// are timing-dependent by design — the staleness argument trades counter
-/// determinism for less time at barriers.
-fn experiment_elastic() -> Json {
-    let epochs = epoch_budget();
-    heading("E14  barrier-elastic driver vs. barrier driver (1CFA, shared store)");
-    println!("host cpus: {} (epoch budget {epochs})", host_cpus());
-    let mut rows = Vec::new();
-    for (name, program) in e12_workloads() {
-        for threads in E13_THREAD_COUNTS {
-            let row = elastic_row(name.clone(), &program, threads, epochs, repeat_count(3));
-            assert!(
-                row.equal,
-                "{name}@t{threads}e{epochs}: elastic fixpoint diverged from the direct oracle"
-            );
-            println!("{}", row.render());
-            rows.push(row.to_json());
-        }
-    }
-    Json::obj([
-        ("host_cpus", Json::Int(host_cpus() as u64)),
-        ("epoch_budget", Json::Int(epochs as u64)),
         ("rows", Json::Arr(rows)),
     ])
 }
@@ -461,10 +332,13 @@ fn e15_workloads() -> Vec<(String, mai_cps::syntax::CExp)> {
 /// byte-identical to the classic engines, counters included — asserted,
 /// and the `governed` counters plus the deterministic `resume_links` are
 /// regression-gated), and step-budgeted solves resumed link by link onto
-/// the one-shot fixpoint.  With `--deadline-ms N`, additionally prints a
-/// deadline-bounded solve of the largest workload; that row is
-/// reported-only and never committed, because wall-clock-bound outcomes
-/// depend on the host.
+/// the one-shot fixpoint.  A cancellation row follows: a watchdog thread
+/// cancels a governed solve after `--cancel-after-ms`, and the solve must
+/// either complete first or stop with `Exhausted(Cancelled)` — a hang or a
+/// mangled outcome fails the report.  With `--deadline-ms N`, additionally
+/// prints a deadline-bounded solve of the largest workload.  The
+/// cancellation and deadline rows are reported-only and never committed,
+/// because wall-clock-bound outcomes depend on the host.
 fn experiment_governed() -> Vec<Json> {
     let max_steps = max_steps_budget();
     heading("E15  governed engines: budgets, resume, parity (1CFA, shared store)");
@@ -476,6 +350,14 @@ fn experiment_governed() -> Vec<Json> {
         println!("{}", row.render());
         rows.push(row.to_json());
     }
+    let program = kcfa_worst_case_scaled(3, E10_SCALE_WIDTH);
+    let cancel = cancel_latency_row(
+        format!("kcfa-worst-3w{E10_SCALE_WIDTH}"),
+        &program,
+        cancel_after(),
+    );
+    println!("{}", cancel.render());
+    assert!(cancel.ok(), "the governed solve ignored its cancel token");
     if let Some(ms) = numeric_arg("--deadline-ms") {
         use mai_core::engine::Budget;
         let program = kcfa_worst_case_scaled(4, E10_SCALE_WIDTH);
@@ -516,19 +398,14 @@ fn e16_workloads() -> Vec<(String, Option<i64>)> {
 }
 
 /// E16 — widening on the infinite-height interval domain: join-only
-/// budget starvation vs. widened convergence with narrowing, carrier
-/// parity, and parallel/elastic driver parity.  The sequential widened
-/// counters are regression-gated; the elastic driver contributes only a
-/// fixpoint-parity bool (its widening counters are timing-dependent).
+/// budget starvation vs. widened convergence with narrowing, and carrier
+/// parity.  The widened counters are regression-gated.
 fn experiment_widening() -> Vec<Json> {
     heading("E16  widening: interval counting loops, chain depth vs. widening points");
-    let threads = numeric_arg("--threads").unwrap_or(2).max(1);
     let mut rows = Vec::new();
     for (name, cap) in e16_workloads() {
-        let row = widening_row(name.clone(), cap, E16_STEP_BUDGET, threads);
+        let row = widening_row(name.clone(), cap, E16_STEP_BUDGET);
         assert!(row.carrier_parity, "{name}: Rc carrier diverged");
-        assert!(row.parallel_parity, "{name}: parallel driver diverged");
-        assert!(row.elastic_parity, "{name}: elastic driver diverged");
         println!("{}", row.render());
         rows.push(row.to_json());
     }
@@ -599,28 +476,23 @@ fn widening_canary() -> std::process::ExitCode {
 }
 
 /// The traced workload behind `--trace-out` and `--profile`: one solve of
-/// the E13 acceptance program on the parallel driver at the `--threads`
-/// worker count (default 2 so worker spans and sync phases exist).
-fn traced_acceptance_solve() -> (mai_bench::TelemetryRow, usize) {
-    let threads = numeric_arg("--threads").unwrap_or(2).max(1);
+/// the E13 acceptance program on the sequential direct engine.
+fn traced_acceptance_solve() -> mai_bench::TelemetryRow {
     let program = kcfa_worst_case_scaled(4, E10_SCALE_WIDTH);
-    (
-        telemetry_row(format!("kcfa-worst-4w{E10_SCALE_WIDTH}"), &program, threads),
-        threads,
-    )
+    telemetry_row(format!("kcfa-worst-4w{E10_SCALE_WIDTH}"), &program)
 }
 
 /// The `--trace-out <path>` mode: writes the Chrome trace-event JSON of
-/// one traced parallel solve to `path`, then self-validates the export —
-/// it must parse back and contain at least one slice for each phase
-/// category (`step`, `join`, `sync`) and at least one `worker` span.
-/// Non-zero exit otherwise, so CI can smoke the whole telemetry path.
+/// one traced direct-engine solve to `path`, then self-validates the
+/// export — it must parse back and contain at least one slice for each
+/// phase category (`step`, `join`).  Non-zero exit otherwise, so CI can
+/// smoke the whole telemetry path.
 fn trace_out(path: &str) -> std::process::ExitCode {
-    let (row, threads) = traced_acceptance_solve();
-    println!("Monadic Abstract Interpreters — Chrome trace export ({threads} threads)");
+    let row = traced_acceptance_solve();
+    println!("Monadic Abstract Interpreters — Chrome trace export (direct engine)");
     println!("{}", row.render());
     if !row.equal {
-        eprintln!("traced fixpoint diverged from the untraced parallel solve");
+        eprintln!("traced fixpoint diverged from the untraced solve");
         return std::process::ExitCode::FAILURE;
     }
     let chrome = row.trace.chrome_trace_json();
@@ -643,15 +515,12 @@ fn trace_out(path: &str) -> std::process::ExitCode {
             .count()
     };
     println!(
-        "wrote {path}: {} events (step={} join={} sync={} worker={} steal={})",
+        "wrote {path}: {} events (step={} join={})",
         events.len(),
         count("step"),
         count("join"),
-        count("sync"),
-        count("worker"),
-        count("steal"),
     );
-    for cat in ["step", "join", "sync", "worker"] {
+    for cat in ["step", "join"] {
         if count(cat) == 0 {
             eprintln!("exported trace has no '{cat}' events");
             return std::process::ExitCode::FAILURE;
@@ -660,17 +529,17 @@ fn trace_out(path: &str) -> std::process::ExitCode {
     std::process::ExitCode::SUCCESS
 }
 
-/// The `--profile` mode: prints the human-readable phase split, per-worker
-/// totals and hot-spot attribution of one traced parallel solve.
+/// The `--profile` mode: prints the human-readable phase split and
+/// hot-spot attribution of one traced direct-engine solve.
 fn profile() -> std::process::ExitCode {
-    let (row, threads) = traced_acceptance_solve();
-    println!("Monadic Abstract Interpreters — engine profile ({threads} threads)");
+    let row = traced_acceptance_solve();
+    println!("Monadic Abstract Interpreters — engine profile (direct engine)");
     println!("{}", row.render());
     print!("{}", row.trace.profile_summary(PROFILE_TOP_K));
     if row.equal {
         std::process::ExitCode::SUCCESS
     } else {
-        eprintln!("traced fixpoint diverged from the untraced parallel solve");
+        eprintln!("traced fixpoint diverged from the untraced solve");
         std::process::ExitCode::FAILURE
     }
 }
@@ -699,11 +568,12 @@ fn experiment_persistent() -> Vec<Json> {
 /// regresses).
 type CounterSample = (&'static str, String, &'static str, u64);
 
-/// Every deterministic counter path the regression gate samples, by
-/// report section.  Reported-only fields — `wall_ms`, `host_cpus`, the
-/// `*_ms` timings and the whole `e13_engine_telemetry` section — are
-/// deliberately absent: the gate pins *work*, never wall-clock, and a
-/// unit test keeps timing fields from creeping in.
+/// Every counter path the regression gate samples, by report section.
+/// Every `EngineStats` field is deterministic, so any of them may be
+/// gated.  Reported-only fields — `wall_ms`, `host_cpus`, the `*_ms`
+/// timings and the whole `e13_engine_telemetry` section — are deliberately
+/// absent: the gate pins *work*, never wall-clock, and a unit test keeps
+/// timing fields from creeping in.
 const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
     (
         "e8_worklist_vs_kleene",
@@ -711,6 +581,7 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
             "kleene_steps",
             "engine.states_stepped",
             "engine.store_joins",
+            "engine.widen_applied",
         ],
     ),
     (
@@ -718,8 +589,10 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
         &[
             "incremental.states_stepped",
             "incremental.store_joins",
+            "incremental.widen_applied",
             "rescan.states_stepped",
             "rescan.store_joins",
+            "rescan.widen_applied",
         ],
     ),
     (
@@ -727,8 +600,10 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
         &[
             "interned.states_stepped",
             "interned.store_joins",
+            "interned.widen_applied",
             "structural.states_stepped",
             "structural.store_joins",
+            "structural.widen_applied",
         ],
     ),
     (
@@ -736,16 +611,9 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
         &[
             "direct.states_stepped",
             "direct.store_joins",
+            "direct.widen_applied",
             "direct.spine_clones",
             "direct.store_bytes_shared",
-        ],
-    ),
-    (
-        "e12_parallel_vs_direct",
-        &[
-            "parallel.states_stepped",
-            "parallel.store_joins",
-            "parallel.sync_rounds",
         ],
     ),
     (
@@ -753,12 +621,10 @@ const GATED_COUNTER_PATHS: &[(&str, &[&str])] = &[
         &[
             "governed.states_stepped",
             "governed.store_joins",
+            "governed.widen_applied",
             "resume_links",
         ],
     ),
-    // E16's elastic solve is only a parity bool in the row — its widening
-    // counters are timing-dependent and deliberately exempt; the gated
-    // paths below all come from the sequential widened solve.
     (
         "e16_widening",
         &[
@@ -863,27 +729,6 @@ fn fresh_counters() -> Vec<CounterSample> {
             &row.to_json(),
         );
     }
-    // E12: parallel-driver deterministic counters.  `parallel_row` itself
-    // asserts the work counters match the sequential direct engine; the
-    // gate additionally pins them (and the round structure) to the
-    // committed baseline.  The timing gauges (steal_events,
-    // shard_imbalance) are *not* sampled — they are legitimately
-    // nondeterministic.
-    for (name, program) in e12_workloads() {
-        for threads in e12_thread_counts() {
-            let row = parallel_row(name.clone(), &program, threads, 1);
-            assert!(
-                row.equal,
-                "{name}@t{threads}: parallel fixpoint differs from direct"
-            );
-            sample_row(
-                &mut samples,
-                "e12_parallel_vs_direct",
-                format!("{name}@t{threads}"),
-                &row.to_json(),
-            );
-        }
-    }
     // E10: id-indexed vs. structural counters.
     for (name, program, _) in e10_workloads() {
         let row = interned_row(name.clone(), &program, 1);
@@ -910,13 +755,11 @@ fn fresh_counters() -> Vec<CounterSample> {
         sample_row(&mut samples, "e15_governed", name, &row.to_json());
     }
     // E16: widened-solve counters.  Widening points make the governed
-    // sequential engine's work deterministic, so the gate pins it; the
-    // three parity invariants are asserted here just as in the report.
+    // engine's work deterministic, so the gate pins it; carrier parity is
+    // asserted here just as in the report.
     for (name, cap) in e16_workloads() {
-        let row = widening_row(name.clone(), cap, E16_STEP_BUDGET, 2);
+        let row = widening_row(name.clone(), cap, E16_STEP_BUDGET);
         assert!(row.carrier_parity, "{name}: Rc carrier diverged");
-        assert!(row.parallel_parity, "{name}: parallel driver diverged");
-        assert!(row.elastic_parity, "{name}: elastic driver diverged");
         sample_row(&mut samples, "e16_widening", name, &row.to_json());
     }
     samples
@@ -948,24 +791,12 @@ fn check_regress() -> std::process::ExitCode {
     let mut improvements = 0usize;
     let mut missing = 0usize;
     for (section, program, counter, fresh) in fresh_counters() {
-        // E12 rows are keyed by program *and* thread count (the sample key
-        // is "program@tN"); its rows live under the section's "rows" field
-        // next to the host_cpus record.
-        let (program_name, threads) = match program.split_once("@t") {
-            Some((p, t)) => (p.to_string(), t.parse::<u64>().ok()),
-            None => (program.clone(), None),
-        };
         let baseline = committed
             .get(section)
-            .map(|section_json| section_json.get("rows").unwrap_or(section_json))
             .and_then(|rows| {
-                rows.items().iter().find(|row| {
-                    row.get("program").and_then(Json::as_str) == Some(&program_name)
-                        && match threads {
-                            Some(t) => row.get("threads").and_then(Json::as_u64) == Some(t),
-                            None => true,
-                        }
-                })
+                rows.items()
+                    .iter()
+                    .find(|row| row.get("program").and_then(Json::as_str) == Some(&program))
             })
             .and_then(|row| committed_counter(row, counter));
         match baseline {
@@ -1018,9 +849,6 @@ fn main() -> std::process::ExitCode {
     if std::env::args().any(|arg| arg == "--check-regress") {
         return check_regress();
     }
-    if std::env::args().any(|arg| arg == "--parallel-smoke") {
-        return parallel_smoke();
-    }
     if std::env::args().any(|arg| arg == "--widening-canary") {
         return widening_canary();
     }
@@ -1043,14 +871,12 @@ fn main() -> std::process::ExitCode {
     let incremental = experiment_incremental();
     let interned = experiment_interned();
     let persistent = experiment_persistent();
-    let parallel = experiment_parallel();
     let telemetry = experiment_telemetry();
-    let elastic = experiment_elastic();
     let governed = experiment_governed();
     let widening = experiment_widening();
 
     let report = Json::obj([
-        ("schema_version", Json::Int(8)),
+        ("schema_version", Json::Int(9)),
         (
             "report_wall_clock_ms",
             Json::Num(started.elapsed().as_secs_f64() * 1e3),
@@ -1060,9 +886,7 @@ fn main() -> std::process::ExitCode {
         ("e9_incremental_vs_rescan", Json::Arr(incremental)),
         ("e10_interned_vs_structural", Json::Arr(interned)),
         ("e11_persistent_vs_interned", Json::Arr(persistent)),
-        ("e12_parallel_vs_direct", parallel),
         ("e13_engine_telemetry", telemetry),
-        ("e14_elastic_vs_barrier", elastic),
         ("e15_governed", Json::Arr(governed)),
         ("e16_widening", Json::Arr(widening)),
     ]);
@@ -1089,10 +913,6 @@ mod tests {
             assert_ne!(
                 *section, "e13_engine_telemetry",
                 "the telemetry section is reported-only"
-            );
-            assert_ne!(
-                *section, "e14_elastic_vs_barrier",
-                "elastic counters are timing-dependent and never gated"
             );
             for path in *paths {
                 for part in path.split('.') {
@@ -1128,12 +948,8 @@ mod tests {
                 "e11_persistent_vs_interned",
                 direct_row("w", &program, 1).to_json(),
             ),
-            (
-                "e12_parallel_vs_direct",
-                parallel_row("w", &program, 2, 1).to_json(),
-            ),
             ("e15_governed", governed_row("w", &program, 8).to_json()),
-            ("e16_widening", widening_row("w", Some(12), 64, 2).to_json()),
+            ("e16_widening", widening_row("w", Some(12), 64).to_json()),
         ];
         for (section, row) in rows {
             for path in section_paths(section) {

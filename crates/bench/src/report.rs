@@ -388,32 +388,11 @@ pub fn engine_stats_json(stats: &EngineStats) -> Json {
             "store_bytes_shared",
             Json::Int(stats.store_bytes_shared as u64),
         ),
-        ("sync_rounds", Json::Int(stats.sync_rounds as u64)),
-        ("steal_events", Json::Int(stats.steal_events as u64)),
-        ("shard_imbalance", Json::Int(stats.shard_imbalance as u64)),
-        ("epochs_run", Json::Int(stats.epochs_run as u64)),
-        ("stale_merges", Json::Int(stats.stale_merges as u64)),
-        (
-            "worker_cache_hits",
-            Json::Int(stats.worker_cache_hits as u64),
-        ),
-        (
-            "worker_cache_misses",
-            Json::Int(stats.worker_cache_misses as u64),
-        ),
-        (
-            "worker_cache_hit_rate",
-            Json::Num(stats.worker_cache_hit_rate()),
-        ),
-        (
-            "stripe_acquisitions",
-            Json::Int(stats.stripe_acquisitions as u64),
-        ),
     ])
 }
 
-/// The JSON rendering of a [`TraceBuffer`]: per-round phase rows, per-worker
-/// totals, steal traffic and the top-`k` hot-spot attribution.  Shared by the
+/// The JSON rendering of a [`TraceBuffer`]: per-round phase rows and the
+/// top-`k` hot-spot attribution.  Shared by the
 /// `--profile` mode and the E13 report section so field names cannot drift.
 pub fn engine_trace_json(trace: &TraceBuffer, top_k: usize) -> Json {
     let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
@@ -431,20 +410,6 @@ pub fn engine_trace_json(trace: &TraceBuffer, top_k: usize) -> Json {
                 ("rebuild", Json::Bool(r.rebuild)),
                 ("step_us", us(r.step_ns)),
                 ("join_us", us(r.join_ns)),
-                ("sync_us", us(r.sync_ns)),
-            ])
-        })
-        .collect();
-    let workers: Vec<Json> = trace
-        .worker_totals()
-        .into_iter()
-        .map(|(worker, processed, steals, busy_ns, wait_ns)| {
-            Json::obj([
-                ("worker", Json::Int(worker as u64)),
-                ("processed", Json::Int(processed as u64)),
-                ("steals", Json::Int(steals as u64)),
-                ("busy_us", us(busy_ns)),
-                ("wait_us", us(wait_ns)),
             ])
         })
         .collect();
@@ -476,13 +441,10 @@ pub fn engine_trace_json(trace: &TraceBuffer, top_k: usize) -> Json {
             Json::obj([
                 ("step_us", us(totals.step_ns)),
                 ("join_us", us(totals.join_ns)),
-                ("sync_us", us(totals.sync_ns)),
                 ("wall_us", us(totals.wall_ns())),
             ]),
         ),
-        ("steal_events", Json::Int(trace.steals.len() as u64)),
         ("rounds", Json::Arr(rounds)),
-        ("workers", Json::Arr(workers)),
         ("hot_states", Json::Arr(hot_states)),
         ("hot_addresses", Json::Arr(hot_addresses)),
     ])
@@ -586,9 +548,9 @@ mod tests {
             .filter(|name| !name.is_empty())
             .collect();
         // Guard against the Debug format changing shape under us: the struct
-        // currently has 17 counters, and the parse must find all of them.
+        // currently has 15 counters, and the parse must find all of them.
         assert!(
-            fields.len() >= 17,
+            fields.len() >= 15,
             "Debug parse found only {} fields: {fields:?}",
             fields.len()
         );
@@ -602,8 +564,8 @@ mod tests {
     }
 
     #[test]
-    fn engine_trace_json_serialises_rounds_workers_and_hot_spots() {
-        use mai_core::telemetry::{RoundTrace, StealTrace, TraceSink, WorkerSpan};
+    fn engine_trace_json_serialises_rounds_and_hot_spots() {
+        use mai_core::telemetry::{RoundTrace, TraceSink};
 
         let mut trace = TraceBuffer::new();
         trace.round(RoundTrace {
@@ -615,38 +577,20 @@ mod tests {
             rebuild: false,
             step_ns: 5_000,
             join_ns: 2_000,
-            sync_ns: 1_000,
-        });
-        trace.worker(WorkerSpan {
-            round: 0,
-            worker: 1,
-            processed: 4,
-            steals: 1,
-            busy_ns: 4_000,
-            wait_ns: 1_000,
-        });
-        trace.steal(StealTrace {
-            round: 0,
-            thief: 1,
-            victim: 0,
         });
         trace.state_cost("(f x)", 3_000);
         trace.join_traffic("x", true);
         let json = engine_trace_json(&trace, 8);
         let reparsed = Json::parse(&json.render()).expect("trace json parses");
-        assert_eq!(reparsed.get("steal_events").and_then(Json::as_u64), Some(1));
         let rounds = reparsed.get("rounds").expect("rounds").items();
         assert_eq!(rounds.len(), 1);
         assert_eq!(rounds[0].get("frontier").and_then(Json::as_u64), Some(4));
         assert_eq!(rounds[0].get("step_us").and_then(Json::as_f64), Some(5.0));
-        let workers = reparsed.get("workers").expect("workers").items();
-        assert_eq!(workers[0].get("worker").and_then(Json::as_u64), Some(1));
-        assert_eq!(workers[0].get("wait_us").and_then(Json::as_f64), Some(1.0));
         let hot = reparsed.get("hot_states").expect("hot states").items();
         assert_eq!(hot[0].get("state").and_then(Json::as_str), Some("(f x)"));
         let addrs = reparsed.get("hot_addresses").expect("hot addrs").items();
         assert_eq!(addrs[0].get("grew").and_then(Json::as_u64), Some(1));
         let totals = reparsed.get("phase_totals").expect("totals");
-        assert_eq!(totals.get("wall_us").and_then(Json::as_f64), Some(8.0));
+        assert_eq!(totals.get("wall_us").and_then(Json::as_f64), Some(7.0));
     }
 }

@@ -54,12 +54,10 @@ use crate::name::{Label, Name};
 /// needs: cloneable, totally ordered (so that it can key stores and appear
 /// inside power-set lattices), hashable (so that it can be placed in the
 /// persistent [`PMap`](crate::pmap) store spine and in the id-indexed
-/// engines' dependency indices), printable and thread-safe (so that
-/// per-address deltas and dependency sets can cross the sharded parallel
-/// engine's sync barrier).
-pub trait Address: Clone + Ord + std::hash::Hash + Debug + Send + Sync + 'static {}
+/// engine's dependency index) and printable.
+pub trait Address: Clone + Ord + std::hash::Hash + Debug + 'static {}
 
-impl<T: Clone + Ord + std::hash::Hash + Debug + Send + Sync + 'static> Address for T {}
+impl<T: Clone + Ord + std::hash::Hash + Debug + 'static> Address for T {}
 
 /// Types with a distinguished initial value (the paper's `HasInitial`
 /// class, §5.3.3).  Used to seed the "guts" component when a state is
@@ -131,7 +129,7 @@ impl NamedAddress for BoundedAddr {
 /// let deeper = ctx.advanced(Label::new(4));
 /// assert_ne!(addr, deeper.valloc(&Name::from("x")));
 /// ```
-pub trait Context: Clone + Ord + Debug + HasInitial + Send + Sync + 'static {
+pub trait Context: Clone + Ord + Debug + HasInitial + 'static {
     /// The address representation allocated under this kind of context.
     type Addr: Address;
 

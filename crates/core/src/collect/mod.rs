@@ -108,7 +108,6 @@ where
             rebuild: false,
             step_ns,
             join_ns: watch.lap_ns(),
-            sync_ns: 0,
         });
         if !grew {
             return current;

@@ -57,17 +57,12 @@
 //! that implements only [`Collecting`].
 
 pub mod governor;
-pub mod parallel;
 mod per_state;
 mod shared;
 
-#[cfg(feature = "fault-inject")]
-pub use governor::FaultGuard;
 pub use governor::{
-    Budget, CancelToken, EngineError, ExhaustReason, FaultAction, FaultPlan, FaultSpec,
-    LadderReport, LadderRung, Outcome, ResumeSeed, SolveFrom, WidenPolicy,
+    Budget, CancelToken, ExhaustReason, Outcome, ResumeSeed, SolveFrom, WidenPolicy,
 };
-pub use parallel::{explore_frontier_ladder, explore_frontier_ladder_traced, ParallelConfig};
 pub use shared::{
     explore_rescan_governed_stats, explore_structural_governed_stats, SharedResumeSeed,
 };
@@ -113,10 +108,8 @@ pub struct EngineStats {
     /// accumulated with the co-domain's `▽` instead of `⊔` because the
     /// address had been designated a widening point by the budget's
     /// [`WidenPolicy`].  0 whenever
-    /// widening is off (the default).  Deterministic for the sequential
-    /// engines; timing-dependent for the elastic driver (which widens at
-    /// lazy-merge boundaries), so `--check-regress` gates it only for
-    /// sequential engines.
+    /// widening is off (the default).  Deterministic, so `--check-regress`
+    /// gates it like the other work counters.
     pub widen_applied: usize,
     /// Contribution joins folded into the running (or rebuilt) domain: the
     /// per-round cost the incremental engine drops from O(|states|) to
@@ -168,61 +161,15 @@ pub struct EngineStats {
     /// run; `--check-regress` treats a *drop* as a structural-sharing
     /// regression.
     pub store_bytes_shared: usize,
-    /// Join-on-sync barriers the sharded parallel engine crossed: one per
-    /// solver round (the step phase of a round ends at the barrier where
-    /// per-shard deltas are joined into the global accumulator).  Equals
-    /// [`EngineStats::iterations`] for a parallel run and 0 for every
-    /// sequential engine; deterministic, so `mai-bench --check-regress`
-    /// gates on it like on the other work counters.
-    pub sync_rounds: usize,
-    /// Frontier chunks a parallel worker claimed from *another* worker's
-    /// shard after draining its own.  A load-balance observability gauge:
-    /// genuinely timing-dependent (two runs of the same workload may steal
-    /// differently), so it is reported but **not** gated by
-    /// `--check-regress`.
-    pub steal_events: usize,
-    /// The peak, over sync rounds, of the spread (max − min) of states
-    /// actually processed per worker within one round — how unbalanced the
-    /// shards were *after* stealing.  Timing-dependent like
-    /// [`EngineStats::steal_events`]; reported, not gated.
-    pub shard_imbalance: usize,
-    /// Worker-epochs the **elastic** parallel engine ran: each worker
-    /// counts one per epoch it started between two barriers (so a barrier
-    /// run reports 0 and an elastic run reports ≥ its stepped-shard
-    /// count).  Timing-dependent (workers cut epochs short when another
-    /// shard requests a merge); reported, never gated.
-    pub epochs_run: usize,
-    /// Merges the elastic engine forced because a step read an address
-    /// whose owning shard had published a newer epoch — the *staleness*
-    /// detections of the lazy-merge protocol.  Timing-dependent; reported,
-    /// never gated.
-    pub stale_merges: usize,
-    /// Lookups (either direction) served by a worker-private
-    /// [`WorkerInternCache`](crate::intern::WorkerInternCache) without
-    /// touching the shared interner.  Timing-dependent in elastic runs;
-    /// reported, never gated.
-    pub worker_cache_hits: usize,
-    /// Worker-cache lookups that fell through to the shared
-    /// [`ShardedInterner`](crate::intern::ShardedInterner).
-    /// Timing-dependent; reported, never gated.
-    pub worker_cache_misses: usize,
-    /// Hot-path stripe-mutex acquisitions on the shared interner
-    /// ([`ShardedInterner::stripe_acquisitions`](crate::intern::ShardedInterner::stripe_acquisitions))
-    /// — the contention gauge the worker cache drives down.  0 for sequential
-    /// engines; reported, never gated (traced runs resolve extra labels).
-    pub stripe_acquisitions: usize,
 }
 
 impl EngineStats {
     /// Joins two stat records: additive *work* counters (steps, joins,
-    /// hits, re-enqueues, widenings, spine clones, intern traffic, rounds,
-    /// steal events) are summed; *gauge* counters (peaks: frontier, shared
-    /// bytes, shard imbalance; totals: distinct states/envs) take the
-    /// maximum.  This is how the parallel engine folds per-shard stats into
-    /// the run's record at each sync barrier — worker records carry only
-    /// per-shard work, the coordinator's record carries the round
-    /// structure, and `merge` is associative and commutative on that
-    /// split, so the merged result is independent of worker order.
+    /// hits, re-enqueues, widenings, spine clones, intern traffic, rounds)
+    /// are summed; *gauge* counters (peaks: frontier, shared bytes; totals:
+    /// distinct states/envs) take the maximum.  `merge` is associative and
+    /// commutative, so summing the records of several solves is
+    /// independent of their order.
     pub fn merge(&mut self, other: &EngineStats) {
         self.iterations += other.iterations;
         self.states_stepped += other.states_stepped;
@@ -239,14 +186,6 @@ impl EngineStats {
         self.distinct_envs = self.distinct_envs.max(other.distinct_envs);
         self.spine_clones += other.spine_clones;
         self.store_bytes_shared = self.store_bytes_shared.max(other.store_bytes_shared);
-        self.sync_rounds += other.sync_rounds;
-        self.steal_events += other.steal_events;
-        self.shard_imbalance = self.shard_imbalance.max(other.shard_imbalance);
-        self.epochs_run += other.epochs_run;
-        self.stale_merges += other.stale_merges;
-        self.worker_cache_hits += other.worker_cache_hits;
-        self.worker_cache_misses += other.worker_cache_misses;
-        self.stripe_acquisitions += other.stripe_acquisitions;
     }
 
     /// Average contribution joins per solver round — the E9 headline metric
@@ -272,18 +211,6 @@ impl EngineStats {
             self.intern_hits as f64 / total as f64
         }
     }
-
-    /// Fraction of worker-cache lookups served without a stripe lock —
-    /// the E14 headline metric for the per-worker intern memo.  0 when no
-    /// worker cache ran (sequential and barrier engines).
-    pub fn worker_cache_hit_rate(&self) -> f64 {
-        let total = self.worker_cache_hits + self.worker_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.worker_cache_hits as f64 / total as f64
-        }
-    }
 }
 
 impl fmt::Display for EngineStats {
@@ -291,8 +218,7 @@ impl fmt::Display for EngineStats {
         write!(
             f,
             "iters={} stepped={} hits={} reenq={} addr-joins={} widened={} joins={} rebuilds={} \
-             peak={} intern={}/{} distinct={} clones={} shared-bytes={} syncs={} steals={} \
-             imbalance={} epochs={} stale={} memo={}/{} stripe-locks={}",
+             peak={} intern={}/{} distinct={} clones={} shared-bytes={}",
             self.iterations,
             self.states_stepped,
             self.cache_hits,
@@ -306,15 +232,7 @@ impl fmt::Display for EngineStats {
             self.intern_misses,
             self.distinct_states,
             self.spine_clones,
-            self.store_bytes_shared,
-            self.sync_rounds,
-            self.steal_events,
-            self.shard_imbalance,
-            self.epochs_run,
-            self.stale_merges,
-            self.worker_cache_hits,
-            self.worker_cache_misses,
-            self.stripe_acquisitions
+            self.store_bytes_shared
         )
     }
 }
@@ -360,13 +278,7 @@ pub trait StateRoots {
 /// The solvers are written once against this trait and therefore compute
 /// identical fixpoints (and identical work counters) on either carrier;
 /// only the per-step constant factor differs.
-///
-/// Step functions are `Sync`: the sharded parallel engine
-/// ([`parallel`]) shares one step function across all of its workers, and
-/// every producer in the tree (plain `fn`s, the `with_state_gc` wrapper,
-/// the `run_store_passing` desugaring closure) is stateless, so the bound
-/// costs nothing and keeps the solver carrier- *and* strategy-neutral.
-pub trait StepFn<Ps, G, S>: Sync {
+pub trait StepFn<Ps, G, S> {
     /// Steps one `(state, guts, store)` configuration to its successor
     /// branches.
     fn step(&self, ps: Ps, guts: G, store: S) -> Vec<((Ps, G), S)>;
@@ -374,7 +286,7 @@ pub trait StepFn<Ps, G, S>: Sync {
 
 impl<F, Ps, G, S> StepFn<Ps, G, S> for F
 where
-    F: Fn(Ps, G, S) -> Vec<((Ps, G), S)> + Sync,
+    F: Fn(Ps, G, S) -> Vec<((Ps, G), S)>,
 {
     fn step(&self, ps: Ps, guts: G, store: S) -> Vec<((Ps, G), S)> {
         self(ps, guts, store)
@@ -510,8 +422,8 @@ impl<A: Address> WidenTracker<A> {
 /// store, preserving the cross-engine byte-identity contract.  Its step
 /// executions are deliberately **not** counted in [`EngineStats`]: the
 /// work-counter invariants (`store_joins == states_stepped` on fast-path
-/// runs, parallel-vs-sequential counter equality) describe the solve, and
-/// the refinement sweep is not part of the solve.  For the same reason the
+/// runs, traced-vs-untraced counter equality) describe the solve, and the
+/// refinement sweep is not part of the solve.  For the same reason the
 /// budget's round/step limits do not gate the sweep — but its *wall-clock*
 /// bounds do: [`Budget::interrupted`] is polled between state re-steps,
 /// and a deadline or cancellation abandons the refinement early.  That is
@@ -657,214 +569,6 @@ where
     Fp::explore_frontier_direct_traced(&step, initial, sink)
 }
 
-/// Analysis domains solvable by the **sharded parallel** driver
-/// ([`parallel`]): the same direct-style [`StepFn`] shape as
-/// [`DirectCollecting`], with the frontier split across worker threads and
-/// per-shard store deltas joined at a sync barrier each round.
-///
-/// Implementations must compute the same fixpoint
-/// [`DirectCollecting::explore_frontier_direct`] computes for the same
-/// step function, at every thread count — the sequential direct engine is
-/// the determinism oracle the differential suite pins this to.
-pub trait ParallelCollecting<Ps, G, S>: Sized {
-    /// What an `Exhausted` partial carries to continue the solve — see
-    /// [`ResumeSeed`].
-    type Seed;
-
-    /// The governed barrier-parallel solve: budget checked at every sync
-    /// barrier, workers polling the budget's [`CancelToken`] between
-    /// claims, and worker panics surfaced as a clean
-    /// [`EngineError::WorkerPanicked`] (the pool is drained and shut
-    /// down; nothing deadlocks).
-    fn explore_frontier_parallel_governed_traced<F, T>(
-        step: &F,
-        from: SolveFrom<Ps, Self::Seed>,
-        threads: usize,
-        budget: &Budget,
-        sink: &mut T,
-    ) -> Result<(Outcome<Self, Self::Seed>, EngineStats), EngineError>
-    where
-        F: StepFn<Ps, G, S>,
-        T: TraceSink,
-        Ps: fmt::Debug;
-
-    /// [`Self::explore_frontier_parallel_governed_traced`] without a sink.
-    fn explore_frontier_parallel_governed<F>(
-        step: &F,
-        from: SolveFrom<Ps, Self::Seed>,
-        threads: usize,
-        budget: &Budget,
-    ) -> Result<(Outcome<Self, Self::Seed>, EngineStats), EngineError>
-    where
-        F: StepFn<Ps, G, S>,
-        Ps: fmt::Debug,
-    {
-        Self::explore_frontier_parallel_governed_traced(step, from, threads, budget, &mut NoopSink)
-    }
-
-    /// The governed barrier-elastic solve: budget checked at every
-    /// barrier, workers additionally polling the [`CancelToken`] inside
-    /// interruptible epochs so cancel latency is bounded by one epoch.
-    fn explore_frontier_elastic_governed_traced<F, T>(
-        step: &F,
-        from: SolveFrom<Ps, Self::Seed>,
-        config: ParallelConfig,
-        budget: &Budget,
-        sink: &mut T,
-    ) -> Result<(Outcome<Self, Self::Seed>, EngineStats), EngineError>
-    where
-        F: StepFn<Ps, G, S>,
-        T: TraceSink,
-        Ps: fmt::Debug;
-
-    /// [`Self::explore_frontier_elastic_governed_traced`] without a sink.
-    fn explore_frontier_elastic_governed<F>(
-        step: &F,
-        from: SolveFrom<Ps, Self::Seed>,
-        config: ParallelConfig,
-        budget: &Budget,
-    ) -> Result<(Outcome<Self, Self::Seed>, EngineStats), EngineError>
-    where
-        F: StepFn<Ps, G, S>,
-        Ps: fmt::Debug,
-    {
-        Self::explore_frontier_elastic_governed_traced(step, from, config, budget, &mut NoopSink)
-    }
-
-    /// Solves `lfp (λX. inject(initial) ⊔ applyStep(step, X))` with the
-    /// work-stealing sharded driver on `threads` worker threads
-    /// (`threads = 1` degenerates to a sequential run of the same
-    /// protocol, useful as a sanity baseline).
-    fn explore_frontier_parallel<F>(step: &F, initial: Ps, threads: usize) -> (Self, EngineStats)
-    where
-        F: StepFn<Ps, G, S>,
-        Ps: fmt::Debug,
-    {
-        Self::explore_frontier_parallel_traced(step, initial, threads, &mut NoopSink)
-    }
-
-    /// [`Self::explore_frontier_parallel`] with a
-    /// [`TraceSink`] observing the solve:
-    /// per-round phase timings plus one
-    /// [`WorkerSpan`](crate::telemetry::WorkerSpan) per worker per round
-    /// and one [`StealTrace`](crate::telemetry::StealTrace) per stolen
-    /// chunk.  Workers record into private lock-free buffers drained by
-    /// the coordinator at the sync barrier, so tracing adds no
-    /// synchronisation to the step phase; fixpoints and deterministic
-    /// counters are identical at every sink.
-    fn explore_frontier_parallel_traced<F, T>(
-        step: &F,
-        initial: Ps,
-        threads: usize,
-        sink: &mut T,
-    ) -> (Self, EngineStats)
-    where
-        F: StepFn<Ps, G, S>,
-        T: TraceSink,
-        Ps: fmt::Debug;
-
-    /// Solves the same fixpoint with the **barrier-elastic** driver
-    /// ([`parallel::elastic`]): workers advance independent sub-frontiers
-    /// for up to [`ParallelConfig::epochs`] epochs between barriers,
-    /// merging per-shard deltas lazily.  `epochs = 1` is exactly the
-    /// barrier engine.  The fixpoint is byte-identical to the direct
-    /// engine's at every configuration; the *work counters* of an elastic
-    /// run (steps, epochs, memo traffic) are timing-dependent and must
-    /// not be gated — only the fixpoint is deterministic.
-    fn explore_frontier_elastic<F>(
-        step: &F,
-        initial: Ps,
-        config: ParallelConfig,
-    ) -> (Self, EngineStats)
-    where
-        F: StepFn<Ps, G, S>,
-        Ps: fmt::Debug,
-    {
-        Self::explore_frontier_elastic_traced(step, initial, config, &mut NoopSink)
-    }
-
-    /// [`Self::explore_frontier_elastic`] with a [`TraceSink`] observing
-    /// the solve: the barrier-engine records plus one
-    /// [`EpochTrace`](crate::telemetry::EpochTrace) per worker epoch and
-    /// one [`MergeTrace`](crate::telemetry::MergeTrace) per lazy merge.
-    fn explore_frontier_elastic_traced<F, T>(
-        step: &F,
-        initial: Ps,
-        config: ParallelConfig,
-        sink: &mut T,
-    ) -> (Self, EngineStats)
-    where
-        F: StepFn<Ps, G, S>,
-        T: TraceSink,
-        Ps: fmt::Debug;
-}
-
-/// Computes the collecting semantics with the sharded parallel engine from
-/// a direct-style step function — the thread-count-selecting counterpart
-/// of [`explore_worklist_direct_stats`].
-pub fn explore_worklist_parallel_stats<Ps, G, S, Fp, F>(
-    step: F,
-    initial: Ps,
-    threads: usize,
-) -> (Fp, EngineStats)
-where
-    Ps: fmt::Debug,
-    Fp: ParallelCollecting<Ps, G, S>,
-    F: StepFn<Ps, G, S>,
-{
-    Fp::explore_frontier_parallel(&step, initial, threads)
-}
-
-/// [`explore_worklist_parallel_stats`] with a
-/// [`TraceSink`] observing the solve.
-pub fn explore_worklist_parallel_traced_stats<Ps, G, S, Fp, F, T>(
-    step: F,
-    initial: Ps,
-    threads: usize,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    Ps: fmt::Debug,
-    Fp: ParallelCollecting<Ps, G, S>,
-    F: StepFn<Ps, G, S>,
-    T: TraceSink,
-{
-    Fp::explore_frontier_parallel_traced(&step, initial, threads, sink)
-}
-
-/// Computes the collecting semantics with the barrier-elastic engine from
-/// a direct-style step function — the [`ParallelConfig`]-selecting
-/// counterpart of [`explore_worklist_parallel_stats`].
-pub fn explore_worklist_elastic_stats<Ps, G, S, Fp, F>(
-    step: F,
-    initial: Ps,
-    config: ParallelConfig,
-) -> (Fp, EngineStats)
-where
-    Ps: fmt::Debug,
-    Fp: ParallelCollecting<Ps, G, S>,
-    F: StepFn<Ps, G, S>,
-{
-    Fp::explore_frontier_elastic(&step, initial, config)
-}
-
-/// [`explore_worklist_elastic_stats`] with a
-/// [`TraceSink`] observing the solve.
-pub fn explore_worklist_elastic_traced_stats<Ps, G, S, Fp, F, T>(
-    step: F,
-    initial: Ps,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    Ps: fmt::Debug,
-    Fp: ParallelCollecting<Ps, G, S>,
-    F: StepFn<Ps, G, S>,
-    T: TraceSink,
-{
-    Fp::explore_frontier_elastic_traced(&step, initial, config, sink)
-}
-
 /// Analysis domains that can be solved by a frontier-driven worklist engine
 /// instead of naive Kleene iteration.
 ///
@@ -885,7 +589,7 @@ pub trait FrontierCollecting<M: MonadFamily, A: Value>: Collecting<M, A> {
     /// O(|states| × store-join) the rescanning engine pays.
     fn explore_frontier<F>(step: &F, initial: A) -> (Self, EngineStats)
     where
-        F: Fn(A) -> M::M<A> + Sync,
+        F: Fn(A) -> M::M<A>,
         A: fmt::Debug,
     {
         Self::explore_frontier_traced(step, initial, &mut NoopSink)
@@ -896,7 +600,7 @@ pub trait FrontierCollecting<M: MonadFamily, A: Value>: Collecting<M, A> {
     /// Identical fixpoint and identical [`EngineStats`] at every sink.
     fn explore_frontier_traced<F, T>(step: &F, initial: A, sink: &mut T) -> (Self, EngineStats)
     where
-        F: Fn(A) -> M::M<A> + Sync,
+        F: Fn(A) -> M::M<A>,
         T: TraceSink,
         A: fmt::Debug;
 
@@ -909,7 +613,7 @@ pub trait FrontierCollecting<M: MonadFamily, A: Value>: Collecting<M, A> {
     /// (the per-state domain) use it unchanged.
     fn explore_frontier_rescan<F>(step: &F, initial: A) -> (Self, EngineStats)
     where
-        F: Fn(A) -> M::M<A> + Sync,
+        F: Fn(A) -> M::M<A>,
         A: fmt::Debug,
     {
         Self::explore_frontier_rescan_traced(step, initial, &mut NoopSink)
@@ -923,7 +627,7 @@ pub trait FrontierCollecting<M: MonadFamily, A: Value>: Collecting<M, A> {
         sink: &mut T,
     ) -> (Self, EngineStats)
     where
-        F: Fn(A) -> M::M<A> + Sync,
+        F: Fn(A) -> M::M<A>,
         T: TraceSink,
         A: fmt::Debug,
     {
@@ -941,7 +645,7 @@ pub trait FrontierCollecting<M: MonadFamily, A: Value>: Collecting<M, A> {
     /// (the per-state domain) use it unchanged.
     fn explore_frontier_structural<F>(step: &F, initial: A) -> (Self, EngineStats)
     where
-        F: Fn(A) -> M::M<A> + Sync,
+        F: Fn(A) -> M::M<A>,
         A: fmt::Debug,
     {
         Self::explore_frontier_structural_traced(step, initial, &mut NoopSink)
@@ -955,7 +659,7 @@ pub trait FrontierCollecting<M: MonadFamily, A: Value>: Collecting<M, A> {
         sink: &mut T,
     ) -> (Self, EngineStats)
     where
-        F: Fn(A) -> M::M<A> + Sync,
+        F: Fn(A) -> M::M<A>,
         T: TraceSink,
         A: fmt::Debug,
     {
@@ -970,7 +674,7 @@ where
     M: MonadFamily,
     A: Value + fmt::Debug,
     Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
+    F: Fn(A) -> M::M<A>,
 {
     Fp::explore_frontier(&step, initial).0
 }
@@ -982,7 +686,7 @@ where
     M: MonadFamily,
     A: Value + fmt::Debug,
     Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
+    F: Fn(A) -> M::M<A>,
 {
     Fp::explore_frontier(&step, initial)
 }
@@ -998,7 +702,7 @@ where
     M: MonadFamily,
     A: Value + fmt::Debug,
     Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
+    F: Fn(A) -> M::M<A>,
     T: TraceSink,
 {
     Fp::explore_frontier_traced(&step, initial, sink)
@@ -1013,7 +717,7 @@ where
     M: MonadFamily,
     A: Value + fmt::Debug,
     Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
+    F: Fn(A) -> M::M<A>,
 {
     Fp::explore_frontier_rescan(&step, initial)
 }
@@ -1029,7 +733,7 @@ where
     M: MonadFamily,
     A: Value + fmt::Debug,
     Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
+    F: Fn(A) -> M::M<A>,
     T: TraceSink,
 {
     Fp::explore_frontier_rescan_traced(&step, initial, sink)
@@ -1046,7 +750,7 @@ where
     M: MonadFamily,
     A: Value + fmt::Debug,
     Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
+    F: Fn(A) -> M::M<A>,
 {
     Fp::explore_frontier_structural(&step, initial)
 }
@@ -1062,7 +766,7 @@ where
     M: MonadFamily,
     A: Value + fmt::Debug,
     Fp: FrontierCollecting<M, A>,
-    F: Fn(A) -> M::M<A> + Sync,
+    F: Fn(A) -> M::M<A>,
     T: TraceSink,
 {
     Fp::explore_frontier_structural_traced(&step, initial, sink)

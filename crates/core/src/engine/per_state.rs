@@ -46,7 +46,7 @@ use crate::telemetry::{label_of, RoundTrace, Stopwatch, TraceSink};
 use super::governor::{Budget, Outcome, ResumeSeed, SolveFrom};
 use super::shared::STATE_LABEL_MAX;
 use super::{DirectCollecting, EngineStats, FrontierCollecting, StepFn};
-use crate::telemetry::{GovernorTrace, GovernorTraceKind};
+use crate::telemetry::GovernorTrace;
 
 impl<Ps, G, S> FrontierCollecting<StorePassing<G, S>, Ps> for PerStateDomain<Ps, G, S>
 where
@@ -56,7 +56,7 @@ where
 {
     fn explore_frontier_traced<F, T>(step: &F, initial: Ps, sink: &mut T) -> (Self, EngineStats)
     where
-        F: Fn(Ps) -> <StorePassing<G, S> as MonadFamily>::M<Ps> + Sync,
+        F: Fn(Ps) -> <StorePassing<G, S> as MonadFamily>::M<Ps>,
         T: TraceSink,
         Ps: std::fmt::Debug,
     {
@@ -124,10 +124,7 @@ where
 
         let mut exhausted = budget.exhausted(0, 0);
         if let Some(reason) = exhausted {
-            sink.governor(GovernorTrace {
-                round: 0,
-                kind: GovernorTraceKind::Exhausted(reason),
-            });
+            sink.governor(GovernorTrace { round: 0, reason });
         }
         while exhausted.is_none() {
             let Some(id) = frontier.pop_front() else {
@@ -166,16 +163,12 @@ where
                     rebuild: false,
                     step_ns: generation_watch.lap_ns(),
                     join_ns: 0,
-                    sync_ns: 0,
                 });
                 generation_size = frontier.len();
                 generation_left = generation_size;
                 generation_joins = 0;
                 if let Some(reason) = budget.exhausted(round, stats.states_stepped) {
-                    sink.governor(GovernorTrace {
-                        round,
-                        kind: GovernorTraceKind::Exhausted(reason),
-                    });
+                    sink.governor(GovernorTrace { round, reason });
                     exhausted = Some(reason);
                 }
             }

@@ -121,7 +121,7 @@ use super::{
     WidenTracker,
 };
 use crate::lattice::WidenLattice;
-use crate::telemetry::{GovernorTrace, GovernorTraceKind};
+use crate::telemetry::GovernorTrace;
 
 /// The resume seed of every shared-store engine: the `(state, guts)`
 /// pairs discovered so far plus the accumulated store.
@@ -139,7 +139,7 @@ pub(super) const STATE_LABEL_MAX: usize = 96;
 
 /// How many characters of an address's `Debug` rendering become its
 /// join-traffic attribution label.
-pub(super) const ADDR_LABEL_MAX: usize = 64;
+const ADDR_LABEL_MAX: usize = 64;
 
 /// The memoised outcome of stepping one `(state, guts)` pair, in the
 /// structural (PR-1/PR-2) engines.
@@ -185,26 +185,26 @@ type Dependents<Ps, G, A> = BTreeMap<A, BTreeSet<(Ps, G)>>;
 /// already below it, folding only the bindings the step *changed* relative
 /// to its pre-store joins to the identical result; the delta is typically a
 /// handful of addresses.
-pub(super) struct InternedEntry<S, A> {
+struct InternedEntry<S, A> {
     /// The successor ids the step produced (sorted, deduplicated).
-    pub(super) successors: Vec<StateId>,
+    successors: Vec<StateId>,
     /// The join of the per-branch result stores, restricted to the
     /// addresses the step changed relative to its pre-store.
-    pub(super) delta: S,
+    delta: S,
     /// The addresses whose growth may change this entry (sorted,
     /// deduplicated): what the step read, per the read journal; its
     /// changed write targets still bound in the result (`bind` joins into
     /// the current binding, as for [`CacheEntry::deps`]); and, for
     /// branches that dropped bindings, the successor's reachability
     /// closure in that branch's result store.
-    pub(super) deps: Vec<A>,
+    deps: Vec<A>,
 }
 
 /// The flat memo table of the id-indexed engine (`None` = not yet stepped).
-pub(super) type InternedCache<S, A> = Vec<Option<InternedEntry<S, A>>>;
+type InternedCache<S, A> = Vec<Option<InternedEntry<S, A>>>;
 
 /// The reverse dependency index of the id-indexed engine.
-pub(super) type IdDependents<A> = FxHashMap<A, FxHashSet<StateId>>;
+type IdDependents<A> = FxHashMap<A, FxHashSet<StateId>>;
 
 /// Steps `key`, installs the outcome in the cache and the reverse
 /// dependency index (replacing any previous entry), updates the step/
@@ -284,21 +284,18 @@ where
 }
 
 /// Executes one monadic step of an already-resolved `(state, guts)` pair
-/// against `store`, interning every successor through the supplied closure
-/// (successor discovery *is* the intern miss) and packaging the id-level
-/// cache entry.  The intern sink is abstract so the same stepping core
-/// serves the sequential engine (a `&mut` [`Interner`]) and the parallel
-/// engine (a shared [`ShardedInterner`](crate::intern::ShardedInterner)).
+/// against `store`, interning every successor (successor discovery *is*
+/// the intern miss) and packaging the id-level cache entry.
 ///
 /// The thread's [read journal](crate::store::reads) is armed around the
 /// transition alone, so it records exactly the step's reads (see
 /// [`InternedEntry::deps`] for the rest of the dependency set).
-pub(super) fn step_entry<Ps, G, S, F, IN>(
+fn step_entry<Ps, G, S, F>(
     step: &F,
     ps: Ps,
     guts: G,
     store: &S,
-    mut intern: IN,
+    interner: &mut Interner<(Ps, G), StateId>,
 ) -> InternedEntry<S, Ps::Addr>
 where
     Ps: Value + Ord + Hash + StateRoots,
@@ -306,7 +303,6 @@ where
     S: StoreLike<Ps::Addr> + StoreDelta<Ps::Addr> + Value,
     S::D: Touches<Ps::Addr>,
     F: StepFn<Ps, G, S>,
-    IN: FnMut((Ps, G)) -> StateId,
 {
     reads::arm::<Ps::Addr>();
     let branches = step.step(ps, guts, store.clone());
@@ -338,7 +334,7 @@ where
         if dropped {
             deps.extend(reachable(ps2.state_roots(), &s2));
         }
-        successors.push(intern((ps2, g2)));
+        successors.push(interner.intern((ps2, g2)));
         // Keep only what the branch changed: every other binding of `s2`
         // was copied out of the pre-store and is already below the
         // accumulated store the entry will be folded into.  `restrict_to`
@@ -359,7 +355,7 @@ where
 
 /// Whether the sorted id slice `old` is a subset of the sorted id slice
 /// `new` (the successor half of the monotonicity check, on ids).
-pub(super) fn sorted_subset(old: &[StateId], new: &[StateId]) -> bool {
+fn sorted_subset(old: &[StateId], new: &[StateId]) -> bool {
     let mut it = new.iter();
     'outer: for o in old {
         for n in it.by_ref() {
@@ -397,7 +393,7 @@ where
     stats.states_stepped += 1;
     stats.spine_clones += 1;
     let (ps, guts) = interner.resolve(id).clone();
-    let entry = step_entry(step, ps, guts, store, |k| interner.intern(k));
+    let entry = step_entry(step, ps, guts, store, interner);
     // Interning the successors may have minted fresh ids; keep the flat
     // cache as long as the id space.
     if cache.len() < interner.len() {
@@ -439,7 +435,7 @@ where
 {
     fn explore_frontier_traced<F, T>(step: &F, initial: Ps, sink: &mut T) -> (Self, EngineStats)
     where
-        F: Fn(Ps) -> <StorePassing<G, S> as MonadFamily>::M<Ps> + Sync,
+        F: Fn(Ps) -> <StorePassing<G, S> as MonadFamily>::M<Ps>,
         T: TraceSink,
         Ps: std::fmt::Debug,
     {
@@ -455,7 +451,7 @@ where
         sink: &mut T,
     ) -> (Self, EngineStats)
     where
-        F: Fn(Ps) -> <StorePassing<G, S> as MonadFamily>::M<Ps> + Sync,
+        F: Fn(Ps) -> <StorePassing<G, S> as MonadFamily>::M<Ps>,
         T: TraceSink,
         Ps: std::fmt::Debug,
     {
@@ -475,7 +471,7 @@ where
         sink: &mut T,
     ) -> (Self, EngineStats)
     where
-        F: Fn(Ps) -> <StorePassing<G, S> as MonadFamily>::M<Ps> + Sync,
+        F: Fn(Ps) -> <StorePassing<G, S> as MonadFamily>::M<Ps>,
         T: TraceSink,
         Ps: std::fmt::Debug,
     {
@@ -558,7 +554,7 @@ where
             if let Some(reason) = budget.exhausted(stats.iterations, stats.states_stepped) {
                 sink.governor(GovernorTrace {
                     round: stats.iterations,
-                    kind: GovernorTraceKind::Exhausted(reason),
+                    reason,
                 });
                 exhausted = Some(reason);
                 break;
@@ -670,7 +666,6 @@ where
                 rebuild: shrank,
                 step_ns,
                 join_ns: phase_watch.lap_ns(),
-                sync_ns: 0,
             });
 
             // Next frontier: freshly discovered pairs (ids minted during
@@ -774,7 +769,7 @@ where
         if let Some(reason) = budget.exhausted(stats.iterations, stats.states_stepped) {
             sink.governor(GovernorTrace {
                 round: stats.iterations,
-                kind: GovernorTraceKind::Exhausted(reason),
+                reason,
             });
             exhausted = Some(reason);
             break;
@@ -865,7 +860,6 @@ where
             rebuild: shrank,
             step_ns,
             join_ns: phase_watch.lap_ns(),
-            sync_ns: 0,
         });
 
         // Next frontier: freshly discovered pairs (no cached outcome
@@ -962,7 +956,7 @@ where
         if let Some(reason) = budget.exhausted(stats.iterations, stats.states_stepped) {
             sink.governor(GovernorTrace {
                 round: stats.iterations,
-                kind: GovernorTraceKind::Exhausted(reason),
+                reason,
             });
             let outcome = governed_outcome(current, Some(reason));
             return (outcome, stats);
@@ -1048,7 +1042,6 @@ where
             rebuild: false,
             step_ns,
             join_ns: phase_watch.lap_ns(),
-            sync_ns: 0,
         });
         if !grew {
             if budget.widen.enabled && budget.widen.narrow_passes > 0 {

@@ -20,24 +20,8 @@
 //! Interning is *per run*: an id is meaningful only relative to the
 //! interner that produced it, and the engines un-intern (resolve) back to
 //! structural values only at the language boundary.
-//!
-//! Two interners are provided.  [`Interner`] is the single-threaded table
-//! the sequential engines use.  [`ShardedInterner`] is its thread-safe
-//! counterpart for the sharded parallel engine
-//! ([`crate::engine::parallel`]): the table is split into
-//! [`STRIPES`] lock stripes selected by the value's precomputed Fx hash,
-//! so workers interning unrelated states almost never contend, and the
-//! hit/miss accounting lives in atomics.  Ids are minted *per stripe*
-//! (`id = local_index · STRIPES + stripe`), which keeps allocation
-//! lock-free across stripes while still yielding a dense-enough id space
-//! for flat `Vec` engine tables — and, crucially, makes the *set* of ids
-//! minted for a given set of distinct values deterministic (each value's
-//! stripe is a pure function of its hash), even though the id⇄value
-//! assignment within a stripe depends on thread interleaving.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 use crate::hash::{fx_hash_of, FxHashMap};
 
@@ -201,371 +185,6 @@ impl<T: std::hash::Hash + Eq, I: InternKey> Interner<T, I> {
     }
 }
 
-/// How many lock stripes a [`ShardedInterner`] uses (a power of two, so
-/// stripe selection is a mask).  16 stripes keep contention negligible at
-/// the 4–8 worker threads the parallel engine targets while bounding the
-/// id-space slack of per-stripe minting.
-pub const STRIPES: usize = 16;
-
-/// One lock stripe of a [`ShardedInterner`]: a miniature [`Interner`] over
-/// the values whose hash lands on this stripe, minting *local* indices.
-struct Stripe<T, I> {
-    /// Precomputed hash → candidate ids (almost always a single candidate).
-    buckets: FxHashMap<u64, Vec<I>>,
-    /// The interned values, indexed by **local** index (insertion order
-    /// within this stripe).
-    values: Vec<T>,
-}
-
-impl<T, I> Default for Stripe<T, I> {
-    fn default() -> Self {
-        Stripe {
-            buckets: FxHashMap::default(),
-            values: Vec::new(),
-        }
-    }
-}
-
-/// The thread-safe, lock-striped hash-consing table of the parallel engine.
-///
-/// Functionally equivalent to [`Interner`] — every distinct value gets one
-/// id, ids agree with structural equality — but safely shareable across
-/// worker threads: interning takes one stripe mutex (selected by the
-/// value's Fx hash, so distinct states spread across [`STRIPES`] locks) and
-/// the hit/miss counters are relaxed atomics.
-///
-/// The id encoding is `local_index * STRIPES + stripe`: dense within each
-/// stripe, globally unique, and bounded by [`ShardedInterner::id_bound`]
-/// (at most `STRIPES - 1` unused slots per occupied local level), so flat
-/// `Vec` engine tables indexed by [`InternKey::index`] stay practical.
-///
-/// ```rust
-/// use mai_core::intern::{ShardedInterner, StateId};
-///
-/// let interner: ShardedInterner<String, StateId> = ShardedInterner::new();
-/// let a = interner.intern("state".to_string());
-/// let b = interner.intern("state".to_string());
-/// let c = interner.intern("other".to_string());
-/// assert_eq!(a, b);           // ids agree with structural equality
-/// assert_ne!(a, c);
-/// assert_eq!(interner.resolve_cloned(a), "state");
-/// assert_eq!(interner.len(), 2);
-/// assert_eq!((interner.hits(), interner.misses()), (1, 2));
-/// ```
-pub struct ShardedInterner<T, I: InternKey = StateId> {
-    stripes: Vec<Mutex<Stripe<T, I>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    /// How many *hot-path* stripe locks ([`ShardedInterner::intern`] /
-    /// [`ShardedInterner::resolve_cloned`]) have been taken — the
-    /// contention gauge a per-worker memo is meant to drive down.
-    /// Coordinator-side bulk scans (`watermarks`, `fresh_since`, …) run
-    /// once per round and are deliberately not counted.
-    acquisitions: AtomicUsize,
-}
-
-impl<T, I: InternKey> Default for ShardedInterner<T, I> {
-    fn default() -> Self {
-        ShardedInterner {
-            stripes: (0..STRIPES)
-                .map(|_| Mutex::new(Stripe::default()))
-                .collect(),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            acquisitions: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl<T: std::hash::Hash + Eq, I: InternKey> ShardedInterner<T, I> {
-    /// Creates an empty sharded interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The stripe a hash selects (the Fx-hash striping of the lock table).
-    #[inline]
-    fn stripe_of(hash: u64) -> usize {
-        (hash as usize) & (STRIPES - 1)
-    }
-
-    /// Interns a value, returning its dense id: the existing id if a
-    /// structurally-equal value was interned before (by any thread), a
-    /// fresh one otherwise.  Takes exactly one stripe lock.
-    pub fn intern(&self, value: T) -> I {
-        self.intern_fresh(value).0
-    }
-
-    /// Like [`ShardedInterner::intern`], but also reports whether *this
-    /// call* minted the id (`true` exactly once per distinct value, for
-    /// whichever thread won the race).  The elastic parallel engine uses
-    /// the flag to route freshly-discovered states into the minting
-    /// worker's own sub-frontier without a global fresh-scan per epoch.
-    pub fn intern_fresh(&self, value: T) -> (I, bool) {
-        let hash = fx_hash_of(&value);
-        let stripe_index = Self::stripe_of(hash);
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        // A panicked worker poisons its stripe mid-`intern_fresh` only
-        // between infallible Vec pushes, so the table stays consistent:
-        // recover the guard instead of cascading the panic into every
-        // other worker that shares the stripe.
-        let mut stripe = self.stripes[stripe_index]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let Stripe { buckets, values } = &mut *stripe;
-        let candidates = buckets.entry(hash).or_default();
-        for &id in candidates.iter() {
-            if values[id.index() / STRIPES] == value {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return (id, false);
-            }
-        }
-        let id = I::from_index(values.len() * STRIPES + stripe_index);
-        candidates.push(id);
-        values.push(value);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        (id, true)
-    }
-
-    /// Un-interns an id back to (a clone of) the value it stands for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this interner.
-    pub fn resolve_cloned(&self, id: I) -> T
-    where
-        T: Clone,
-    {
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let stripe = self.stripes[id.index() % STRIPES]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        stripe.values[id.index() / STRIPES].clone()
-    }
-
-    /// How many distinct values have been interned (across all stripes).
-    pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values
-                    .len()
-            })
-            .sum()
-    }
-
-    /// Whether nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// An exclusive upper bound on every id handed out so far — the size a
-    /// flat `Vec` table indexed by [`InternKey::index`] must have.  At most
-    /// `STRIPES - 1` of the covered slots are unoccupied per level of
-    /// stripe imbalance.
-    pub fn id_bound(&self) -> usize {
-        self.stripes
-            .iter()
-            .enumerate()
-            .map(|(stripe_index, s)| {
-                let len = s
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values
-                    .len();
-                if len == 0 {
-                    0
-                } else {
-                    (len - 1) * STRIPES + stripe_index + 1
-                }
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The per-stripe value counts — a *watermark* the parallel engine
-    /// snapshots at the start of a round; ids minted later are exactly
-    /// those reported by [`ShardedInterner::fresh_since`] for it.
-    pub fn watermarks(&self) -> Vec<usize> {
-        self.stripes
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values
-                    .len()
-            })
-            .collect()
-    }
-
-    /// Every id minted since the watermark was taken, in ascending id
-    /// order.  The *set* is deterministic for a deterministic round (which
-    /// values exist is a pure function of the round's steps), even though
-    /// which thread minted each id is not.
-    pub fn fresh_since(&self, watermarks: &[usize]) -> Vec<I> {
-        let mut fresh: Vec<I> = Vec::new();
-        for (stripe_index, s) in self.stripes.iter().enumerate() {
-            let len = s
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .values
-                .len();
-            for local in watermarks[stripe_index]..len {
-                fresh.push(I::from_index(local * STRIPES + stripe_index));
-            }
-        }
-        fresh.sort_unstable();
-        fresh
-    }
-
-    /// Every `(id, value)` interned so far, cloned out in ascending id
-    /// order — the language-boundary un-intern of the parallel engine.
-    pub fn entries_cloned(&self) -> Vec<(I, T)>
-    where
-        T: Clone,
-    {
-        let mut out: Vec<(I, T)> = Vec::new();
-        for (stripe_index, s) in self.stripes.iter().enumerate() {
-            let stripe = s.lock().unwrap_or_else(PoisonError::into_inner);
-            for (local, value) in stripe.values.iter().enumerate() {
-                out.push((I::from_index(local * STRIPES + stripe_index), value.clone()));
-            }
-        }
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out
-    }
-
-    /// How many [`ShardedInterner::intern`] calls found an existing id.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// How many [`ShardedInterner::intern`] calls allocated a fresh id —
-    /// one per distinct value, so this equals [`ShardedInterner::len`].
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// How many hot-path stripe locks have been taken so far (one per
-    /// [`ShardedInterner::intern`] / [`ShardedInterner::resolve_cloned`]
-    /// call) — the contention gauge [`WorkerInternCache`] exists to
-    /// reduce.
-    pub fn stripe_acquisitions(&self) -> usize {
-        self.acquisitions.load(Ordering::Relaxed)
-    }
-}
-
-/// A small per-worker id⇄value memo fronting a shared [`ShardedInterner`].
-///
-/// The parallel engines resolve and re-intern the same hot states round
-/// after round, and every such call takes a stripe mutex on the shared
-/// table.  A worker-private memo answers re-touched values without any
-/// lock: one bounded Fx-hash table caches `id → value` (serving
-/// [`WorkerInternCache::resolve_cloned`] directly and providing the deep
-/// comparison for [`WorkerInternCache::intern_fresh`] candidates), and a
-/// companion `hash → candidate ids` index makes the value→id direction a
-/// hash probe.  On overflow the memo is simply cleared — it is a cache,
-/// never the source of truth, so eviction cannot affect results.
-///
-/// Hits and misses are counted locally and merged into
-/// [`EngineStats`](crate::engine::EngineStats) as
-/// `worker_cache_hits`/`worker_cache_misses` by the elastic driver.
-#[derive(Debug)]
-pub struct WorkerInternCache<T, I: InternKey = StateId> {
-    /// Precomputed hash → candidate ids (mirrors the interner's buckets).
-    by_hash: FxHashMap<u64, Vec<I>>,
-    /// id index → cached value (the single value store of the memo).
-    by_id: FxHashMap<usize, T>,
-    /// Clear-on-full bound on `by_id` (entries, not bytes).
-    capacity: usize,
-    hits: usize,
-    misses: usize,
-}
-
-/// The default [`WorkerInternCache`] bound: generously above the hot-set
-/// size of the committed workloads while keeping the worst-case memo
-/// footprint (states can be large) moderate.
-pub const WORKER_CACHE_CAPACITY: usize = 1 << 14;
-
-impl<T: std::hash::Hash + Eq + Clone, I: InternKey> WorkerInternCache<T, I> {
-    /// Creates an empty memo bounded at `capacity` entries (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        WorkerInternCache {
-            by_hash: FxHashMap::default(),
-            by_id: FxHashMap::default(),
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Memoised [`ShardedInterner::intern`]: lock-free on a memo hit.
-    pub fn intern(&mut self, interner: &ShardedInterner<T, I>, value: T) -> I {
-        self.intern_fresh(interner, value).0
-    }
-
-    /// Memoised [`ShardedInterner::intern_fresh`]: lock-free on a memo
-    /// hit (a memoised value is never fresh).
-    pub fn intern_fresh(&mut self, interner: &ShardedInterner<T, I>, value: T) -> (I, bool) {
-        let hash = fx_hash_of(&value);
-        if let Some(candidates) = self.by_hash.get(&hash) {
-            for &id in candidates {
-                if self.by_id.get(&id.index()) == Some(&value) {
-                    self.hits += 1;
-                    return (id, false);
-                }
-            }
-        }
-        self.misses += 1;
-        let (id, minted) = interner.intern_fresh(value.clone());
-        self.insert(hash, id, value);
-        (id, minted)
-    }
-
-    /// Memoised [`ShardedInterner::resolve_cloned`]: lock-free on a memo
-    /// hit.
-    pub fn resolve_cloned(&mut self, interner: &ShardedInterner<T, I>, id: I) -> T {
-        if let Some(value) = self.by_id.get(&id.index()) {
-            self.hits += 1;
-            return value.clone();
-        }
-        self.misses += 1;
-        let value = interner.resolve_cloned(id);
-        self.insert(fx_hash_of(&value), id, value.clone());
-        value
-    }
-
-    fn insert(&mut self, hash: u64, id: I, value: T) {
-        if self.by_id.len() >= self.capacity {
-            self.by_id.clear();
-            self.by_hash.clear();
-        }
-        self.by_hash.entry(hash).or_default().push(id);
-        self.by_id.insert(id.index(), value);
-    }
-
-    /// How many memo lookups (either direction) were answered locally.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// How many memo lookups fell through to the shared interner.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    /// Drains the hit/miss counters (for per-phase stats merging),
-    /// leaving the memo contents intact.
-    pub fn take_counters(&mut self) -> (usize, usize) {
-        (
-            std::mem::take(&mut self.hits),
-            std::mem::take(&mut self.misses),
-        )
-    }
-}
-
 /// Counts the distinct values of an iterator by interning them — the shared
 /// implementation behind the language crates' `distinct_env_count` helpers
 /// (the language-boundary half of the engine's intern statistics).
@@ -610,153 +229,6 @@ mod tests {
     fn state_and_env_ids_display_distinctly() {
         assert_eq!(StateId::from_index(3).to_string(), "σ3");
         assert_eq!(EnvId::from_index(3).to_string(), "ρ3");
-    }
-
-    #[test]
-    fn sharded_interner_agrees_with_sequential_semantics() {
-        let sharded: ShardedInterner<(u16, u16), StateId> = ShardedInterner::new();
-        let values: Vec<(u16, u16)> = (0..200).map(|n| (n % 40, n % 7)).collect();
-        let ids: Vec<StateId> = values.iter().map(|v| sharded.intern(*v)).collect();
-        // Ids agree with structural equality and resolution round-trips.
-        for (a, ia) in values.iter().zip(ids.iter()) {
-            for (b, ib) in values.iter().zip(ids.iter()) {
-                assert_eq!(a == b, ia == ib);
-            }
-            assert_eq!(sharded.resolve_cloned(*ia), *a);
-        }
-        // Accounting: one miss per distinct value, the rest hits.
-        let distinct: std::collections::BTreeSet<_> = values.iter().collect();
-        assert_eq!(sharded.len(), distinct.len());
-        assert_eq!(sharded.misses(), distinct.len());
-        assert_eq!(sharded.hits() + sharded.misses(), values.len());
-        // Every id is inside the declared bound and the bound is tight
-        // enough for flat tables (≤ STRIPES - 1 slack per stripe level).
-        let bound = sharded.id_bound();
-        for id in &ids {
-            assert!(id.index() < bound);
-        }
-        assert!(bound <= sharded.len() * STRIPES);
-        // entries_cloned un-interns everything, in ascending id order.
-        let entries = sharded.entries_cloned();
-        assert_eq!(entries.len(), distinct.len());
-        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn sharded_interner_watermarks_report_fresh_ids() {
-        let sharded: ShardedInterner<u32, StateId> = ShardedInterner::new();
-        let a = sharded.intern(1);
-        let b = sharded.intern(2);
-        let marks = sharded.watermarks();
-        assert!(sharded.fresh_since(&marks).is_empty());
-        let c = sharded.intern(3);
-        let _again = sharded.intern(1); // hit: not fresh
-        let fresh = sharded.fresh_since(&marks);
-        assert_eq!(fresh, vec![c]);
-        assert!(!fresh.contains(&a) && !fresh.contains(&b));
-    }
-
-    /// The loom-free lock-striping agreement test: several threads intern
-    /// overlapping value ranges concurrently; afterwards the table must be
-    /// indistinguishable from a sequential build — ids agree with
-    /// structural equality, every value resolves, and misses equal the
-    /// distinct count (no value was ever interned twice).
-    #[test]
-    fn sharded_interner_threads_agree_on_ids() {
-        let sharded: ShardedInterner<(u8, u8), StateId> = ShardedInterner::new();
-        let threads = 4;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let sharded = &sharded;
-                scope.spawn(move || {
-                    // Overlapping ranges: every value is interned by at
-                    // least two threads, racing on the same stripes.
-                    for round in 0..3u8 {
-                        for n in 0..128u8 {
-                            let value = ((n + t) % 128, round % 2);
-                            let id = sharded.intern(value);
-                            assert_eq!(sharded.resolve_cloned(id), value);
-                            // A second intern from this thread must agree.
-                            assert_eq!(sharded.intern(value), id);
-                        }
-                    }
-                });
-            }
-        });
-        // 128 × 2 distinct values, interned exactly once each.
-        assert_eq!(sharded.len(), 256);
-        assert_eq!(sharded.misses(), 256);
-        assert_eq!(
-            sharded.hits() + sharded.misses(),
-            threads as usize * 3 * 128 * 2
-        );
-        // Post-hoc sequential interning returns the established ids.
-        let mut seen = std::collections::BTreeSet::new();
-        for (id, value) in sharded.entries_cloned() {
-            assert_eq!(sharded.intern(value), id);
-            assert!(seen.insert(id), "duplicate id {id:?}");
-        }
-    }
-
-    #[test]
-    fn intern_fresh_reports_minting_exactly_once() {
-        let sharded: ShardedInterner<u32, StateId> = ShardedInterner::new();
-        let (a, minted_a) = sharded.intern_fresh(7);
-        let (b, minted_b) = sharded.intern_fresh(7);
-        assert_eq!(a, b);
-        assert!(minted_a);
-        assert!(!minted_b);
-        // The hot-path gauge counts both intern calls and resolves.
-        let before = sharded.stripe_acquisitions();
-        let _ = sharded.resolve_cloned(a);
-        let _ = sharded.intern(7);
-        assert_eq!(sharded.stripe_acquisitions(), before + 2);
-    }
-
-    #[test]
-    fn worker_cache_agrees_with_interner_and_skips_stripe_locks() {
-        let sharded: ShardedInterner<(u8, u8), StateId> = ShardedInterner::new();
-        let mut memo: WorkerInternCache<(u8, u8), StateId> = WorkerInternCache::new(64);
-        // 30 distinct pairs (lcm(30, 6) = 30), comfortably under the
-        // 64-entry capacity so the memo never clears mid-test.
-        let values: Vec<(u8, u8)> = (0..120u16)
-            .map(|n| ((n % 30) as u8, (n % 6) as u8))
-            .collect();
-        let direct: Vec<StateId> = values.iter().map(|v| sharded.intern(*v)).collect();
-        let locks_before = sharded.stripe_acquisitions();
-        let memoed: Vec<StateId> = values.iter().map(|v| memo.intern(&sharded, *v)).collect();
-        assert_eq!(direct, memoed);
-        // Only the first sight of each distinct value fell through.
-        let distinct: std::collections::BTreeSet<_> = values.iter().collect();
-        assert_eq!(memo.misses(), distinct.len());
-        assert_eq!(memo.hits(), values.len() - distinct.len());
-        assert_eq!(sharded.stripe_acquisitions(), locks_before + distinct.len());
-        // Resolution is served from the memo once cached.
-        let locks_before = sharded.stripe_acquisitions();
-        for (v, id) in values.iter().zip(direct.iter()) {
-            assert_eq!(memo.resolve_cloned(&sharded, *id), *v);
-        }
-        assert_eq!(sharded.stripe_acquisitions(), locks_before);
-        // take_counters drains without touching the cached contents.
-        let (h, m) = memo.take_counters();
-        assert!(h > 0 && m > 0);
-        assert_eq!((memo.hits(), memo.misses()), (0, 0));
-        assert_eq!(memo.intern(&sharded, values[0]), direct[0]);
-        assert_eq!((memo.hits(), memo.misses()), (1, 0));
-    }
-
-    #[test]
-    fn worker_cache_overflow_clears_but_stays_correct() {
-        let sharded: ShardedInterner<u32, StateId> = ShardedInterner::new();
-        let mut memo: WorkerInternCache<u32, StateId> = WorkerInternCache::new(8);
-        for round in 0..3u32 {
-            for n in 0..100u32 {
-                let id = memo.intern(&sharded, n);
-                assert_eq!(sharded.intern(n), id);
-                assert_eq!(memo.resolve_cloned(&sharded, id), n);
-            }
-            assert_eq!(sharded.len(), 100, "round {round}");
-        }
     }
 
     proptest! {

@@ -36,8 +36,8 @@
 //!   with precomputed hashes, the identity currency of the id-indexed
 //!   engines (with [`hash`] supplying the fast deterministic hasher).
 //! * [`telemetry`] — zero-cost-when-off structured tracing for the
-//!   engines: per-round phase timings, per-worker spans, hot-spot
-//!   attribution and Chrome-trace/CSV exporters.
+//!   engines: per-round phase timings, hot-spot attribution and
+//!   Chrome-trace/CSV exporters.
 //! * [`mod@env`] — shared copy-on-write environment maps, so state
 //!   construction stops deep-cloning environments per transition.
 //! * [`name`] — globally pooled identifiers and program-point labels shared
@@ -87,23 +87,18 @@ pub use addr::{
 pub use collect::{
     explore_fp, explore_fp_traced, run_analysis, Collecting, PerStateDomain, SharedStoreDomain,
 };
-#[cfg(feature = "fault-inject")]
-pub use engine::FaultGuard;
 pub use engine::{
-    explore_frontier_ladder, explore_frontier_ladder_traced, explore_worklist,
-    explore_worklist_direct_stats, explore_worklist_direct_traced_stats,
-    explore_worklist_parallel_stats, explore_worklist_parallel_traced_stats,
+    explore_worklist, explore_worklist_direct_stats, explore_worklist_direct_traced_stats,
     explore_worklist_rescan_stats, explore_worklist_rescan_traced_stats, explore_worklist_stats,
     explore_worklist_structural_stats, explore_worklist_structural_traced_stats,
     explore_worklist_traced_stats, with_state_gc, Budget, CancelToken, DirectCollecting,
-    EngineError, EngineStats, ExhaustReason, FaultAction, FaultPlan, FaultSpec, FrontierCollecting,
-    LadderReport, LadderRung, Outcome, ParallelCollecting, ParallelConfig, ResumeSeed,
-    SharedResumeSeed, SolveFrom, StateRoots, StepFn,
+    EngineStats, ExhaustReason, FrontierCollecting, Outcome, ResumeSeed, SharedResumeSeed,
+    SolveFrom, StateRoots, StepFn,
 };
 pub use env::{CowMap, CowSet};
 pub use gc::{reachable, GcStrategy, NoGc, Touches};
 pub use hash::{fx_hash_of, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use intern::{EnvId, InternKey, Interner, ShardedInterner, StateId};
+pub use intern::{EnvId, InternKey, Interner, StateId};
 pub use lattice::{
     kleene_it, kleene_it_bounded, kleene_it_governed, kleene_it_governed_from, AbsNat,
     KleeneOutcome, Lattice,
@@ -113,6 +108,5 @@ pub use name::{Label, Name};
 pub use pmap::PMap;
 pub use store::{BasicStore, Counter, CountingStore, StoreDelta, StoreLike};
 pub use telemetry::{
-    GovernorTrace, GovernorTraceKind, HotAddr, HotState, NoopSink, PhaseTotals, RoundTrace,
-    StealTrace, TraceBuffer, TraceSink, WorkerSpan,
+    GovernorTrace, HotAddr, HotState, NoopSink, PhaseTotals, RoundTrace, TraceBuffer, TraceSink,
 };

@@ -64,15 +64,11 @@ pub type StepM<A, G, S> = Vec<(A, G, S)>;
 /// * associativity: `bind(bind(m, k), h) == bind(m, |a, g, s|
 ///   bind(k(a, g, s), h))`
 pub trait MonadStep {
-    /// The outer state (the analysis guts: context/time).  `Send + Sync`
-    /// so that direct-style branch vectors can be produced by the workers
-    /// of the sharded parallel engine ([`crate::engine::parallel`]) and
-    /// crossed back over its sync barrier.
-    type Guts: Value + Send + Sync;
+    /// The outer state (the analysis guts: context/time).
+    type Guts: Value;
 
-    /// The inner state (the store).  `Send + Sync` for the same reason;
-    /// with the `Arc`-shared [`PMap`](crate::pmap) spine this is free.
-    type Store: Value + Send + Sync;
+    /// The inner state (the store).
+    type Store: Value;
 
     /// The type of computations producing values of type `A`.
     type M<A: Value>;
@@ -113,7 +109,7 @@ pub trait MonadStep {
 /// ```
 pub struct DirectStep<G, S>(PhantomData<(G, S)>);
 
-impl<G: Value + Send + Sync, S: Value + Send + Sync> MonadStep for DirectStep<G, S> {
+impl<G: Value, S: Value> MonadStep for DirectStep<G, S> {
     type Guts = G;
     type Store = S;
     type M<A: Value> = StepM<A, G, S>;

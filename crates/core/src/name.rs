@@ -10,14 +10,7 @@
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::hash::{fx_hash_of, FxHashSet};
-
-/// How many lock stripes the global name pool (and the synthetic-name
-/// cache) uses — the same Fx-hash striping discipline as the parallel
-/// engine's [`ShardedInterner`](crate::intern::ShardedInterner), so the
-/// workers of a parallel analysis minting continuation names concurrently
-/// contend only when their names hash to the same stripe.
-const NAME_STRIPES: usize = 16;
+use crate::hash::{FxBuildHasher, FxHashSet};
 
 /// The global name pool: every [`Name`] ever created, deduplicated by
 /// content.  Hot paths (parsers, allocators, synthetic continuation names)
@@ -29,18 +22,11 @@ const NAME_STRIPES: usize = 16;
 /// Deliberate trade-offs: entries are never evicted (identifier sets are
 /// tiny and shared across the analyses of one process; a long-lived server
 /// embedding many unrelated programs would retain their identifier
-/// strings).  The pool is **lock-striped** by the content's Fx hash: the
-/// sharded parallel engine's workers allocate names concurrently, and one
-/// global mutex would serialise every transition that mints a
-/// continuation name.
-fn name_pool() -> &'static [Mutex<FxHashSet<Arc<str>>>] {
-    static POOL: OnceLock<Vec<Mutex<FxHashSet<Arc<str>>>>> = OnceLock::new();
-    POOL.get_or_init(|| {
-        (0..NAME_STRIPES)
-            .map(|_| Mutex::new(FxHashSet::default()))
-            .collect()
-    })
-}
+/// strings).  One mutex guards the whole pool: the analyses step states on
+/// one thread, so the lock is uncontended and costs one atomic pair per
+/// construction.
+static NAME_POOL: Mutex<FxHashSet<Arc<str>>> =
+    Mutex::new(FxHashSet::with_hasher(FxBuildHasher::new()));
 
 /// An identifier: a variable, field, method or class name.
 ///
@@ -97,8 +83,7 @@ impl Name {
     /// allocation.
     pub fn new(s: impl AsRef<str>) -> Self {
         let s = s.as_ref();
-        let stripe = (fx_hash_of(s) as usize) % NAME_STRIPES;
-        let mut pool = name_pool()[stripe].lock().expect("name pool poisoned");
+        let mut pool = NAME_POOL.lock().expect("name pool poisoned");
         if let Some(existing) = pool.get(s) {
             return Name(Arc::clone(existing));
         }
@@ -128,24 +113,14 @@ impl Name {
     /// this constructor skips even the `format!` after first sight, where
     /// [`Name::new`] would still build the string before pooling it.
     pub fn synthetic(prefix: &'static str, tag: &'static str, index: u32) -> Self {
-        type Key = (&'static str, &'static str, u32);
-        type Cache = std::collections::HashMap<Key, Name>;
-        // Striped like the name pool itself: parallel workers mint the
-        // same per-site synthetic names on every transition, and stripe
-        // selection by the key's Fx hash keeps them off one global lock.
-        static CACHE: OnceLock<Vec<Mutex<Cache>>> = OnceLock::new();
-        let stripes = CACHE.get_or_init(|| {
-            (0..NAME_STRIPES)
-                .map(|_| Mutex::new(Cache::new()))
-                .collect()
-        });
-        let key: Key = (prefix, tag, index);
-        let stripe = (fx_hash_of(&key) as usize) % NAME_STRIPES;
-        let mut cache = stripes[stripe]
+        type Cache = std::collections::HashMap<(&'static str, &'static str, u32), Name>;
+        static CACHE: OnceLock<Mutex<Cache>> = OnceLock::new();
+        let mut cache = CACHE
+            .get_or_init(Mutex::default)
             .lock()
             .expect("synthetic name cache poisoned");
         cache
-            .entry(key)
+            .entry((prefix, tag, index))
             .or_insert_with(|| Name::new(format!("{prefix}{tag}{index}")))
             .clone()
     }

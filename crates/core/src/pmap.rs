@@ -46,10 +46,6 @@
 //! and [`CountingStore`](crate::store::CountingStore) are rebased on this
 //! spine, which is what makes the whole-store clone in the step monad an
 //! `Arc` bump and the engines' delta folds proportional to the delta.
-//! Because every node is `Arc`-shared (never `Rc`), the spine is `Send +
-//! Sync` whenever its keys and values are — the property the sharded
-//! parallel engine ([`crate::engine::parallel`]) relies on to hand store
-//! snapshots to its workers and join per-shard deltas at the sync barrier.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;

@@ -102,7 +102,7 @@ impl<A: Address, V: Ord + Clone> crate::lattice::WidenLattice for BasicStore<A, 
 impl<A, V> StoreLike<A> for BasicStore<A, V>
 where
     A: Address,
-    V: Ord + Clone + fmt::Debug + Send + Sync + 'static,
+    V: Ord + Clone + fmt::Debug + 'static,
 {
     type D = BTreeSet<V>;
 
@@ -165,7 +165,7 @@ where
 impl<A, V> super::StoreDelta<A> for BasicStore<A, V>
 where
     A: Address,
-    V: Ord + Clone + fmt::Debug + Send + Sync + 'static,
+    V: Ord + Clone + fmt::Debug + 'static,
 {
     fn changed_addresses(&self, other: &Self) -> BTreeSet<A> {
         self.bindings.changed_keys(&other.bindings)

@@ -105,7 +105,7 @@ impl<A: Address, V: Ord + Clone> crate::lattice::WidenLattice for CountingStore<
 impl<A, V> StoreLike<A> for CountingStore<A, V>
 where
     A: Address,
-    V: Ord + Clone + fmt::Debug + Send + Sync + 'static,
+    V: Ord + Clone + fmt::Debug + 'static,
 {
     type D = BTreeSet<V>;
 
@@ -184,7 +184,7 @@ where
 impl<A, V> super::StoreDelta<A> for CountingStore<A, V>
 where
     A: Address,
-    V: Ord + Clone + fmt::Debug + Send + Sync + 'static,
+    V: Ord + Clone + fmt::Debug + 'static,
 {
     fn changed_addresses(&self, other: &Self) -> BTreeSet<A> {
         // Counts are part of the observable binding: an address whose value
@@ -227,7 +227,7 @@ pub trait Counter<A: Address>: StoreLike<A> {
 impl<A, V> Counter<A> for CountingStore<A, V>
 where
     A: Address,
-    V: Ord + Clone + fmt::Debug + Send + Sync + 'static,
+    V: Ord + Clone + fmt::Debug + 'static,
 {
     fn count(&self, a: &A) -> AbsNat {
         reads::record(a);

@@ -46,17 +46,9 @@ use crate::lattice::Lattice;
 /// let fetched: BTreeSet<&str> = store.fetch(&1);
 /// assert_eq!(fetched.len(), 2); // weak update: both closures flow to address 1
 /// ```
-pub trait StoreLike<A: Address>: Lattice + Ord + Debug + Send + Sync + 'static {
+pub trait StoreLike<A: Address>: Lattice + Ord + Debug + 'static {
     /// The co-domain of the store: what an address denotes.
-    ///
-    /// Both the store and its co-domain are `Send + Sync`: the sharded
-    /// parallel engine ([`crate::engine::parallel`]) hands each worker a
-    /// snapshot of the global store and collects per-shard delta stores
-    /// across the sync barrier, so stores must be shareable across threads.
-    /// Every store in the tree is already structurally thread-safe (the
-    /// [`PMap`](crate::pmap) spine and [`CowSet`](crate::env::CowSet)
-    /// values are `Arc`-shared).
-    type D: Lattice + Ord + Clone + Debug + Send + Sync + 'static;
+    type D: Lattice + Ord + Clone + Debug + 'static;
 
     /// The empty store `σ₀`.
     fn empty_store() -> Self {

@@ -14,10 +14,10 @@
 //!
 //! The journal is thread-local rather than carried by the store: reads go
 //! through `&self`, and a store-carried log would need interior
-//! mutability inside `Send + Sync` values that are also hashed and
-//! compared as analysis-domain keys.  Every driver runs one step on one
-//! thread from start to finish, so a per-thread journal sees exactly that
-//! step's reads — including reads made on clones and derived stores.
+//! mutability inside values that are also hashed and compared as
+//! analysis-domain keys.  The engine runs one step on one thread from
+//! start to finish, so a per-thread journal sees exactly that step's
+//! reads — including reads made on clones and derived stores.
 //!
 //! Unarmed, [`record`] is one thread-local check and records nothing.
 //! [`arm`] always starts from an empty journal, so a step that panicked

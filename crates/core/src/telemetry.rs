@@ -1,18 +1,13 @@
-//! Structured engine telemetry: per-round traces, per-worker spans and
-//! hot-spot attribution for the fixpoint ladder.
+//! Structured engine telemetry: per-round traces and hot-spot attribution
+//! for the fixpoint engines.
 //!
 //! `EngineStats` answers *how much* work a solve performed; this module
 //! answers *where the wall-clock went*.  The engines thread a
 //! [`TraceSink`] through their `_traced` entry points and report, per
 //! solver round, the frontier size, the states stepped, the contribution
 //! joins, the per-address delta width and the wall-clock split into a
-//! *step* phase (transition functions running), a *join* phase (deltas
-//! folded into the accumulated store) and — for the sharded parallel
-//! driver — a *sync* phase (barrier/coordination overhead, the gap
-//! between the slowest worker's busy time and the phase wall).  The
-//! parallel driver additionally reports one [`WorkerSpan`] per worker per
-//! round (shard occupancy, steal count, busy and barrier-wait time) and
-//! one [`StealTrace`] per stolen chunk.
+//! *step* phase (transition functions running) and a *join* phase (deltas
+//! folded into the accumulated store).
 //!
 //! ## Zero cost when off
 //!
@@ -26,24 +21,14 @@
 //! differential suite asserts byte-identical fixpoints and identical
 //! [`EngineStats`](crate::engine::EngineStats) with tracing on and off.
 //!
-//! ## Lock-free worker buffers
-//!
-//! Parallel workers never share a sink.  Each worker records its span
-//! into a private [`WorkerBuffer`] it owns exclusively for the duration
-//! of a step phase (part of its per-phase outcome), and the coordinator
-//! drains the buffers into the single sink at the join-on-sync barrier —
-//! the same moment it installs the workers' step results, so tracing adds
-//! no synchronisation whatsoever to the phase itself.
-//!
 //! ## Exporters
 //!
-//! [`TraceBuffer`] is the reference sink: it aggregates rounds, spans,
-//! steals, per-state step cost and per-address join traffic, and renders
+//! [`TraceBuffer`] is the reference sink: it aggregates rounds, governance
+//! events, per-state step cost and per-address join traffic, and renders
 //!
 //! * [`TraceBuffer::chrome_trace_json`] — Chrome trace-event JSON.  The
 //!   timeline is reconstructed by *stacking* round phase durations (round
-//!   `r+1` starts where round `r` ended), which keeps the export free of
-//!   cross-thread clock synchronisation; load the file in Perfetto
+//!   `r+1` starts where round `r` ended); load the file in Perfetto
 //!   (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //! * [`TraceBuffer::rounds_csv`] — a compact per-round CSV.
 //! * [`TraceBuffer::profile_summary`] — the human-readable summary behind
@@ -53,16 +38,11 @@ use std::fmt::Debug;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::engine::governor::{ExhaustReason, LadderRung};
+use crate::engine::governor::ExhaustReason;
 use crate::hash::FxHashMap;
-use crate::intern::StateId;
 
-/// One solver round, with its wall-clock decomposed into phases.
-///
-/// Sequential engines report `sync_ns = 0`; the parallel driver reports
-/// `step_ns` as the slowest worker's busy time and `sync_ns` as the rest
-/// of the phase wall (barrier wake-up, shard publication, outcome
-/// collection), so `step + join + sync` is the round's wall-clock.
+/// One solver round, with its wall-clock decomposed into phases:
+/// `step + join` is the round's wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundTrace {
     /// 1-based round number.
@@ -83,113 +63,29 @@ pub struct RoundTrace {
     pub step_ns: u64,
     /// Nanoseconds spent folding deltas into the accumulator.
     pub join_ns: u64,
-    /// Nanoseconds of parallel coordination overhead (0 when sequential).
-    pub sync_ns: u64,
 }
 
 impl RoundTrace {
     /// The round's total wall-clock in nanoseconds.
     pub fn wall_ns(&self) -> u64 {
-        self.step_ns + self.join_ns + self.sync_ns
+        self.step_ns + self.join_ns
     }
 }
 
-/// One worker's activity within one parallel step phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkerSpan {
-    /// The solver round the span belongs to.
-    pub round: usize,
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// Pairs this worker stepped (own shard plus stolen chunks).
-    pub processed: usize,
-    /// Chunks this worker stole from other shards.
-    pub steals: usize,
-    /// Nanoseconds spent inside the phase body (stepping + claiming).
-    pub busy_ns: u64,
-    /// Nanoseconds the worker idled while the phase was still open —
-    /// the barrier-wait share of the phase wall.
-    pub wait_ns: u64,
-}
-
-/// One work-stealing event: `thief` claimed a chunk of `victim`'s shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealTrace {
-    /// The solver round the steal happened in.
-    pub round: usize,
-    /// The worker that ran out of its own shard.
-    pub thief: usize,
-    /// The shard the chunk was taken from.
-    pub victim: usize,
-}
-
-/// One worker epoch of the **elastic** parallel driver: between two
-/// barriers a worker advances its private sub-frontier for up to `E`
-/// epochs, and each one is reported as a span nested inside the worker's
-/// busy window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochTrace {
-    /// The solver (super-)round the epoch belongs to.
-    pub round: usize,
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// 1-based epoch number within the round.
-    pub epoch: usize,
-    /// States stepped during this epoch.
-    pub stepped: usize,
-    /// Fresh states this epoch minted into the worker's next sub-frontier.
-    pub fresh: usize,
-    /// Whether the epoch detected a stale read (another shard published a
-    /// newer epoch for an address this worker read) and forced the merge.
-    pub stale_exit: bool,
-    /// Nanoseconds spent inside the epoch body.
-    pub busy_ns: u64,
-}
-
-/// One lazy merge of the elastic driver: the barrier at which per-shard
-/// deltas accumulated over the round's epochs are folded into the global
-/// store and the dependency index is re-seeded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MergeTrace {
-    /// The solver (super-)round the merge ended.
-    pub round: usize,
-    /// Entries installed at this merge (one per state stepped this round).
-    pub entries: usize,
-    /// Addresses whose accumulated binding grew at this merge.
-    pub changed: usize,
-    /// Whether any worker forced this merge through a stale read (as
-    /// opposed to frontier drain or epoch-budget exhaustion).
-    pub stale: bool,
-    /// Nanoseconds the coordinator spent folding the deltas.
-    pub merge_ns: u64,
-}
-
-/// A governance event of a governed solve: the budget fired, or a
-/// degradation-ladder rung faulted.
+/// A governance event of a governed solve: the budget fired and the
+/// solve returned a partial.
 ///
-/// The cancel-latency tests are built on these records: the `round`
-/// of an [`GovernorTraceKind::Exhausted`] event is the number of
-/// *completed* rounds when the budget was observed, so the distance
-/// between the cancel request and the event bounds the observation
-/// latency in rounds.
+/// The cancel-latency tests are built on these records: the `round` of
+/// an event is the number of *completed* rounds when the budget was
+/// observed, so the distance between the cancel request and the event
+/// bounds the observation latency in rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GovernorTrace {
-    /// Rounds completed when the event was observed (sequential and
-    /// barrier engines observe at round boundaries; for ladder events,
-    /// the rung's rounds completed before it faulted is unknown, so 0).
+    /// Rounds completed when the event was observed (the engines observe
+    /// at round boundaries).
     pub round: usize,
-    /// What was observed.
-    pub kind: GovernorTraceKind,
-}
-
-/// What a [`GovernorTrace`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GovernorTraceKind {
-    /// The budget fired with this reason; the solve returned a partial.
-    Exhausted(ExhaustReason),
-    /// This degradation-ladder rung faulted (a worker panicked) and the
-    /// solve fell to the next rung.
-    RungFaulted(LadderRung),
+    /// Which limit fired.
+    pub reason: ExhaustReason,
 }
 
 /// A structured trace consumer, threaded through the engines' `_traced`
@@ -210,20 +106,7 @@ pub trait TraceSink {
     /// One solver round completed.
     fn round(&mut self, _event: RoundTrace) {}
 
-    /// One worker's span within a parallel step phase.
-    fn worker(&mut self, _span: WorkerSpan) {}
-
-    /// One work-stealing event.
-    fn steal(&mut self, _event: StealTrace) {}
-
-    /// One worker epoch of the elastic driver.
-    fn epoch(&mut self, _event: EpochTrace) {}
-
-    /// One lazy merge of the elastic driver.
-    fn merge(&mut self, _event: MergeTrace) {}
-
-    /// One governance event: budget exhaustion observed, or a ladder
-    /// rung faulted.
+    /// One governance event: budget exhaustion observed.
     fn governor(&mut self, _event: GovernorTrace) {}
 
     /// `ns` nanoseconds were spent stepping the state labelled `label`
@@ -268,72 +151,6 @@ impl Stopwatch {
     }
 }
 
-/// A lock-free per-worker trace buffer: each parallel worker owns one
-/// exclusively during a step phase (no sharing, no locks — it travels
-/// with the worker's phase outcome) and the coordinator drains it into
-/// the one sink at the join-on-sync barrier via
-/// [`WorkerBuffer::drain_into`].
-#[derive(Debug, Default)]
-pub struct WorkerBuffer {
-    /// Nanoseconds this worker spent inside the phase body.
-    pub busy_ns: u64,
-    /// Shard indices this worker stole a chunk from, one per steal.
-    pub victims: Vec<usize>,
-    /// Per-step cost records `(state id, ns)`.
-    pub costs: Vec<(StateId, u64)>,
-    /// Elastic-driver epochs this worker ran within the phase
-    /// (`(epoch, stepped, fresh, stale_exit, busy_ns)`); empty for the
-    /// barrier driver.
-    pub epochs: Vec<(usize, usize, usize, bool, u64)>,
-}
-
-impl WorkerBuffer {
-    /// Drains the buffer into `sink` as one [`WorkerSpan`] plus its
-    /// [`StealTrace`]s and state-cost records, resolving ids to labels
-    /// through `label` (only called here, after the phase, so workers
-    /// never format).  `wall_ns` is the coordinator-observed phase wall;
-    /// the span's wait time is `wall_ns − busy_ns`.
-    pub fn drain_into<T: TraceSink>(
-        self,
-        round: usize,
-        worker: usize,
-        processed: usize,
-        wall_ns: u64,
-        sink: &mut T,
-        mut label: impl FnMut(StateId) -> String,
-    ) {
-        sink.worker(WorkerSpan {
-            round,
-            worker,
-            processed,
-            steals: self.victims.len(),
-            busy_ns: self.busy_ns,
-            wait_ns: wall_ns.saturating_sub(self.busy_ns),
-        });
-        for victim in self.victims {
-            sink.steal(StealTrace {
-                round,
-                thief: worker,
-                victim,
-            });
-        }
-        for (epoch, stepped, fresh, stale_exit, busy_ns) in self.epochs {
-            sink.epoch(EpochTrace {
-                round,
-                worker,
-                epoch,
-                stepped,
-                fresh,
-                stale_exit,
-                busy_ns,
-            });
-        }
-        for (id, ns) in self.costs {
-            sink.state_cost(&label(id), ns);
-        }
-    }
-}
-
 /// Renders a `Debug` value as a single-line label truncated to roughly
 /// `max` characters — hot-spot attribution keys, not pretty-printing.
 pub fn label_of<V: Debug>(value: &V, max: usize) -> String {
@@ -374,14 +191,12 @@ pub struct PhaseTotals {
     pub step_ns: u64,
     /// Total nanoseconds in join (fold) phases.
     pub join_ns: u64,
-    /// Total nanoseconds of parallel coordination overhead.
-    pub sync_ns: u64,
 }
 
 impl PhaseTotals {
     /// The summed wall-clock of all rounds, in nanoseconds.
     pub fn wall_ns(&self) -> u64 {
-        self.step_ns + self.join_ns + self.sync_ns
+        self.step_ns + self.join_ns
     }
 }
 
@@ -392,14 +207,6 @@ impl PhaseTotals {
 pub struct TraceBuffer {
     /// Every recorded round, in order.
     pub rounds: Vec<RoundTrace>,
-    /// Every recorded worker span, in arrival order.
-    pub workers: Vec<WorkerSpan>,
-    /// Every recorded steal event, in arrival order.
-    pub steals: Vec<StealTrace>,
-    /// Every recorded elastic worker epoch, in arrival order.
-    pub epochs: Vec<EpochTrace>,
-    /// Every recorded elastic merge, in arrival order.
-    pub merges: Vec<MergeTrace>,
     /// Every recorded governance event, in arrival order.
     pub governor_events: Vec<GovernorTrace>,
     state_costs: FxHashMap<String, (usize, u64)>,
@@ -413,22 +220,6 @@ impl TraceSink for TraceBuffer {
 
     fn round(&mut self, event: RoundTrace) {
         self.rounds.push(event);
-    }
-
-    fn worker(&mut self, span: WorkerSpan) {
-        self.workers.push(span);
-    }
-
-    fn steal(&mut self, event: StealTrace) {
-        self.steals.push(event);
-    }
-
-    fn epoch(&mut self, event: EpochTrace) {
-        self.epochs.push(event);
-    }
-
-    fn merge(&mut self, event: MergeTrace) {
-        self.merges.push(event);
     }
 
     fn governor(&mut self, event: GovernorTrace) {
@@ -460,7 +251,6 @@ impl TraceBuffer {
         for r in &self.rounds {
             totals.step_ns += r.step_ns;
             totals.join_ns += r.join_ns;
-            totals.sync_ns += r.sync_ns;
         }
         totals
     }
@@ -508,34 +298,12 @@ impl TraceBuffer {
         all
     }
 
-    /// Per-worker totals across all rounds: `(worker, processed, steals,
-    /// busy_ns, wait_ns)`, sorted by worker index.
-    pub fn worker_totals(&self) -> Vec<(usize, usize, usize, u64, u64)> {
-        let mut by_worker: FxHashMap<usize, (usize, usize, u64, u64)> = FxHashMap::default();
-        for span in &self.workers {
-            let slot = by_worker.entry(span.worker).or_default();
-            slot.0 += span.processed;
-            slot.1 += span.steals;
-            slot.2 += span.busy_ns;
-            slot.3 += span.wait_ns;
-        }
-        let mut totals: Vec<_> = by_worker
-            .into_iter()
-            .map(|(w, (processed, steals, busy, wait))| (w, processed, steals, busy, wait))
-            .collect();
-        totals.sort_unstable();
-        totals
-    }
-
     /// Chrome trace-event JSON (the `traceEvents` object form) — open it
     /// in Perfetto or `chrome://tracing`.
     ///
     /// The timeline stacks round durations: round `r+1`'s step phase
-    /// starts where round `r`'s sync phase ended, so no cross-thread
-    /// clock synchronisation is needed.  Thread 0 is the driver (one
-    /// `X` slice per phase per round); threads `w+1` carry worker `w`'s
-    /// busy/wait slices inside the round's step window; steals are `i`
-    /// instants on the thief's thread.
+    /// starts where round `r`'s join phase ended.  Thread 0 is the driver,
+    /// with one `X` slice per phase per round.
     pub fn chrome_trace_json(&self) -> String {
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut first = true;
@@ -558,23 +326,9 @@ impl TraceBuffer {
              \"args\":{\"name\":\"driver\"}}"
                 .to_owned(),
         );
-        let worker_ids: std::collections::BTreeSet<usize> =
-            self.workers.iter().map(|s| s.worker).collect();
-        for &w in &worker_ids {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
-                     \"args\":{{\"name\":\"worker {}\"}}}}",
-                    w + 1,
-                    w
-                ),
-            );
-        }
         let us = |ns: u64| format!("{:.3}", ns as f64 / 1000.0);
         let mut cursor_ns: u64 = 0;
         for r in &self.rounds {
-            let step_start = cursor_ns;
             push(
                 &mut out,
                 format!(
@@ -582,7 +336,7 @@ impl TraceBuffer {
                      \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":0,\"args\":{{\
                      \"round\":{},\"frontier\":{},\"stepped\":{},\"rebuild\":{}}}}}",
                     r.round,
-                    us(step_start),
+                    us(cursor_ns),
                     us(r.step_ns),
                     r.round,
                     r.frontier,
@@ -590,70 +344,6 @@ impl TraceBuffer {
                     r.rebuild
                 ),
             );
-            for span in self.workers.iter().filter(|s| s.round == r.round) {
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"name\":\"busy\",\"cat\":\"worker\",\"ph\":\"X\",\
-                         \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\
-                         \"processed\":{},\"steals\":{}}}}}",
-                        us(step_start),
-                        us(span.busy_ns),
-                        span.worker + 1,
-                        span.processed,
-                        span.steals
-                    ),
-                );
-                if span.wait_ns > 0 {
-                    push(
-                        &mut out,
-                        format!(
-                            "{{\"name\":\"barrier wait\",\"cat\":\"barrier\",\"ph\":\"X\",\
-                             \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{}}}}",
-                            us(step_start + span.busy_ns),
-                            us(span.wait_ns),
-                            span.worker + 1
-                        ),
-                    );
-                }
-                // Elastic epochs nest inside the worker's busy slice,
-                // stacked in epoch order.
-                let mut epoch_cursor = step_start;
-                for e in self
-                    .epochs
-                    .iter()
-                    .filter(|e| e.round == r.round && e.worker == span.worker)
-                {
-                    push(
-                        &mut out,
-                        format!(
-                            "{{\"name\":\"epoch {}\",\"cat\":\"epoch\",\"ph\":\"X\",\
-                             \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\
-                             \"stepped\":{},\"fresh\":{},\"stale_exit\":{}}}}}",
-                            e.epoch,
-                            us(epoch_cursor),
-                            us(e.busy_ns),
-                            e.worker + 1,
-                            e.stepped,
-                            e.fresh,
-                            e.stale_exit
-                        ),
-                    );
-                    epoch_cursor += e.busy_ns;
-                }
-            }
-            for steal in self.steals.iter().filter(|s| s.round == r.round) {
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"name\":\"steal\",\"cat\":\"steal\",\"ph\":\"i\",\"s\":\"t\",\
-                         \"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"victim\":{}}}}}",
-                        us(step_start),
-                        steal.thief + 1,
-                        steal.victim
-                    ),
-                );
-            }
             cursor_ns += r.step_ns;
             push(
                 &mut out,
@@ -668,49 +358,16 @@ impl TraceBuffer {
                     r.delta_width
                 ),
             );
-            // Elastic lazy merges nest inside the round's join slice.
-            for m in self.merges.iter().filter(|m| m.round == r.round) {
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"name\":\"round {} merge\",\"cat\":\"merge\",\"ph\":\"X\",\
-                         \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":0,\"args\":{{\
-                         \"entries\":{},\"changed\":{},\"stale\":{}}}}}",
-                        m.round,
-                        us(cursor_ns),
-                        us(m.merge_ns),
-                        m.entries,
-                        m.changed,
-                        m.stale
-                    ),
-                );
-            }
             cursor_ns += r.join_ns;
-            if r.sync_ns > 0 {
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"name\":\"round {} sync\",\"cat\":\"sync\",\"ph\":\"X\",\
-                         \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":0,\"args\":{{}}}}",
-                        r.round,
-                        us(cursor_ns),
-                        us(r.sync_ns)
-                    ),
-                );
-                cursor_ns += r.sync_ns;
-            }
         }
         // Governance events land as global instants at the end of the
         // reconstructed timeline (their round is in the args).
         for g in &self.governor_events {
-            let (name, detail) = match g.kind {
-                GovernorTraceKind::Exhausted(reason) => ("budget exhausted", reason.as_str()),
-                GovernorTraceKind::RungFaulted(rung) => ("ladder fallback", rung.as_str()),
-            };
+            let detail = g.reason.as_str();
             push(
                 &mut out,
                 format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"governor\",\"ph\":\"i\",\"s\":\"g\",\
+                    "{{\"name\":\"budget exhausted\",\"cat\":\"governor\",\"ph\":\"i\",\"s\":\"g\",\
                      \"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"round\":{},\"detail\":\"{detail}\"}}}}",
                     us(cursor_ns),
                     g.round,
@@ -723,13 +380,12 @@ impl TraceBuffer {
 
     /// A compact per-round CSV (microsecond durations).
     pub fn rounds_csv(&self) -> String {
-        let mut out = String::from(
-            "round,frontier,stepped,joins,delta_width,rebuild,step_us,join_us,sync_us\n",
-        );
+        let mut out =
+            String::from("round,frontier,stepped,joins,delta_width,rebuild,step_us,join_us\n");
         for r in &self.rounds {
             let _ = writeln!(
                 out,
-                "{},{},{},{},{},{},{:.3},{:.3},{:.3}",
+                "{},{},{},{},{},{},{:.3},{:.3}",
                 r.round,
                 r.frontier,
                 r.stepped,
@@ -737,15 +393,14 @@ impl TraceBuffer {
                 r.delta_width,
                 r.rebuild,
                 r.step_ns as f64 / 1000.0,
-                r.join_ns as f64 / 1000.0,
-                r.sync_ns as f64 / 1000.0
+                r.join_ns as f64 / 1000.0
             );
         }
         out
     }
 
-    /// A human-readable profile: phase split, the costliest rounds, the
-    /// per-worker totals and the top-`k` hot states and addresses.
+    /// A human-readable profile: phase split, the costliest rounds and the
+    /// top-`k` hot states and addresses.
     pub fn profile_summary(&self, k: usize) -> String {
         let totals = self.phase_totals();
         let wall = totals.wall_ns().max(1);
@@ -755,7 +410,7 @@ impl TraceBuffer {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "rounds={} (rebuilds={})  wall={:.3}ms  step={:.3}ms ({:.1}%)  join={:.3}ms ({:.1}%)  sync={:.3}ms ({:.1}%)",
+            "rounds={} (rebuilds={})  wall={:.3}ms  step={:.3}ms ({:.1}%)  join={:.3}ms ({:.1}%)",
             self.rounds.len(),
             rebuilds,
             ms(wall),
@@ -763,8 +418,6 @@ impl TraceBuffer {
             pct(totals.step_ns),
             ms(totals.join_ns),
             pct(totals.join_ns),
-            ms(totals.sync_ns),
-            pct(totals.sync_ns),
         );
         let mut costly: Vec<&RoundTrace> = self.rounds.iter().collect();
         costly.sort_by_key(|r| std::cmp::Reverse(r.wall_ns()));
@@ -774,7 +427,7 @@ impl TraceBuffer {
             for r in costly {
                 let _ = writeln!(
                     out,
-                    "  round {:>4}: frontier={:<6} stepped={:<6} joins={:<6} delta={:<5} {}step={:.3}ms join={:.3}ms sync={:.3}ms",
+                    "  round {:>4}: frontier={:<6} stepped={:<6} joins={:<6} delta={:<5} {}step={:.3}ms join={:.3}ms",
                     r.round,
                     r.frontier,
                     r.stepped,
@@ -783,44 +436,17 @@ impl TraceBuffer {
                     if r.rebuild { "REBUILD " } else { "" },
                     ms(r.step_ns),
                     ms(r.join_ns),
-                    ms(r.sync_ns),
                 );
             }
-        }
-        let workers = self.worker_totals();
-        if !workers.is_empty() {
-            let _ = writeln!(out, "workers:");
-            for (w, processed, steals, busy, wait) in workers {
-                let _ = writeln!(
-                    out,
-                    "  worker {w}: processed={processed:<6} steals={steals:<4} busy={:.3}ms wait={:.3}ms",
-                    ms(busy),
-                    ms(wait),
-                );
-            }
-        }
-        if !self.epochs.is_empty() {
-            let stale = self.epochs.iter().filter(|e| e.stale_exit).count();
-            let max_epoch = self.epochs.iter().map(|e| e.epoch).max().unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "elastic: {} worker-epochs (deepest {max_epoch}, {stale} stale exits) over {} merges",
-                self.epochs.len(),
-                self.merges.len(),
-            );
         }
         if !self.governor_events.is_empty() {
             let _ = writeln!(out, "governance:");
             for g in &self.governor_events {
-                let what = match g.kind {
-                    GovernorTraceKind::Exhausted(reason) => {
-                        format!("budget exhausted ({reason})")
-                    }
-                    GovernorTraceKind::RungFaulted(rung) => {
-                        format!("ladder rung faulted ({rung})")
-                    }
-                };
-                let _ = writeln!(out, "  after round {}: {what}", g.round);
+                let _ = writeln!(
+                    out,
+                    "  after round {}: budget exhausted ({})",
+                    g.round, g.reason
+                );
             }
         }
         let hot_states = self.top_states(k);
@@ -854,7 +480,6 @@ impl TraceBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::InternKey;
 
     fn sample_buffer() -> TraceBuffer {
         let mut buf = TraceBuffer::new();
@@ -867,7 +492,6 @@ mod tests {
             rebuild: false,
             step_ns: 1_000,
             join_ns: 500,
-            sync_ns: 250,
         });
         buf.round(RoundTrace {
             round: 2,
@@ -878,28 +502,6 @@ mod tests {
             rebuild: true,
             step_ns: 2_000,
             join_ns: 1_000,
-            sync_ns: 0,
-        });
-        buf.worker(WorkerSpan {
-            round: 1,
-            worker: 0,
-            processed: 1,
-            steals: 0,
-            busy_ns: 900,
-            wait_ns: 100,
-        });
-        buf.worker(WorkerSpan {
-            round: 2,
-            worker: 1,
-            processed: 4,
-            steals: 1,
-            busy_ns: 1_800,
-            wait_ns: 200,
-        });
-        buf.steal(StealTrace {
-            round: 2,
-            thief: 1,
-            victim: 0,
         });
         buf.state_cost("St(1)", 700);
         buf.state_cost("St(1)", 300);
@@ -915,7 +517,6 @@ mod tests {
         let mut sink = NoopSink;
         assert!(!sink.enabled());
         sink.round(RoundTrace::default());
-        sink.worker(WorkerSpan::default());
         sink.state_cost("x", 1);
         sink.join_traffic("a", true);
     }
@@ -938,8 +539,7 @@ mod tests {
         let totals = buf.phase_totals();
         assert_eq!(totals.step_ns, 3_000);
         assert_eq!(totals.join_ns, 1_500);
-        assert_eq!(totals.sync_ns, 250);
-        assert_eq!(totals.wall_ns(), 4_750);
+        assert_eq!(totals.wall_ns(), 4_500);
 
         let hot = buf.top_states(10);
         assert_eq!(hot[0].label, "St(1)");
@@ -951,25 +551,21 @@ mod tests {
         assert_eq!(addrs[0].label, "a0");
         assert_eq!(addrs[0].joins, 2);
         assert_eq!(addrs[0].grew, 1);
-
-        let workers = buf.worker_totals();
-        assert_eq!(workers, vec![(0, 1, 0, 900, 100), (1, 4, 1, 1_800, 200)]);
     }
 
     #[test]
     fn chrome_trace_contains_all_phases_and_spans() {
-        let json = buf_json();
+        let mut buf = sample_buffer();
+        buf.governor(GovernorTrace {
+            round: 2,
+            reason: ExhaustReason::StepBudget,
+        });
+        let json = buf.chrome_trace_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"cat\":\"step\""));
-        assert!(json.contains("\"cat\":\"join\""));
-        assert!(json.contains("\"cat\":\"sync\""));
-        assert!(json.contains("\"cat\":\"worker\""));
-        assert!(json.contains("\"cat\":\"steal\""));
-        assert!(json.contains("\"name\":\"worker 1\""));
-    }
-
-    fn buf_json() -> String {
-        sample_buffer().chrome_trace_json()
+        assert!(json.contains("\"name\":\"round 1 step\",\"cat\":\"step\""));
+        assert!(json.contains("\"name\":\"round 2 join\",\"cat\":\"join\""));
+        assert!(json.contains("\"cat\":\"governor\""));
+        assert!(json.contains("\"detail\":\"steps\""));
     }
 
     #[test]
@@ -987,7 +583,6 @@ mod tests {
         let summary = sample_buffer().profile_summary(5);
         assert!(summary.contains("rounds=2 (rebuilds=1)"));
         assert!(summary.contains("costliest rounds"));
-        assert!(summary.contains("workers:"));
         assert!(summary.contains("hot states"));
         assert!(summary.contains("hot addresses"));
         assert!(summary.contains("St(1)"));
@@ -999,77 +594,5 @@ mod tests {
         let long = label_of(&"αβγδεζηθικλμ", 4);
         assert!(long.ends_with('…'));
         assert!(long.chars().count() <= 5);
-    }
-
-    #[test]
-    fn worker_buffer_drains_spans_steals_and_costs() {
-        let buffer = WorkerBuffer {
-            busy_ns: 800,
-            victims: vec![2],
-            costs: vec![(StateId::from_index(0), 500)],
-            epochs: Vec::new(),
-        };
-        let mut sink = TraceBuffer::new();
-        buffer.drain_into(3, 1, 5, 1_000, &mut sink, |id| format!("id{}", id.index()));
-        assert_eq!(
-            sink.workers,
-            vec![WorkerSpan {
-                round: 3,
-                worker: 1,
-                processed: 5,
-                steals: 1,
-                busy_ns: 800,
-                wait_ns: 200,
-            }]
-        );
-        assert_eq!(
-            sink.steals,
-            vec![StealTrace {
-                round: 3,
-                thief: 1,
-                victim: 2,
-            }]
-        );
-        assert_eq!(sink.top_states(1)[0].label, "id0");
-    }
-
-    #[test]
-    fn elastic_epochs_and_merges_flow_through_buffer_and_exports() {
-        let mut buf = sample_buffer();
-        let worker_buf = WorkerBuffer {
-            busy_ns: 900,
-            victims: vec![],
-            costs: vec![],
-            epochs: vec![(1, 3, 2, false, 600), (2, 2, 0, true, 300)],
-        };
-        worker_buf.drain_into(1, 0, 5, 1_000, &mut buf, |_| String::new());
-        buf.merge(MergeTrace {
-            round: 1,
-            entries: 5,
-            changed: 2,
-            stale: true,
-            merge_ns: 400,
-        });
-        assert_eq!(buf.epochs.len(), 2);
-        assert_eq!(
-            buf.epochs[1],
-            EpochTrace {
-                round: 1,
-                worker: 0,
-                epoch: 2,
-                stepped: 2,
-                fresh: 0,
-                stale_exit: true,
-                busy_ns: 300,
-            }
-        );
-        let json = buf.chrome_trace_json();
-        assert!(json.contains("\"cat\":\"epoch\""));
-        assert!(json.contains("\"cat\":\"merge\""));
-        assert!(json.contains("\"stale_exit\":true"));
-        let summary = buf.profile_summary(5);
-        assert!(
-            summary.contains("elastic: 2 worker-epochs (deepest 2, 1 stale exits) over 1 merges")
-        );
     }
 }

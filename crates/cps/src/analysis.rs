@@ -16,12 +16,10 @@ use mai_core::collect::{
     explore_fp_bounded, run_analysis, with_gc, Collecting, PerStateDomain, SharedStoreDomain,
 };
 use mai_core::engine::{
-    explore_frontier_ladder, explore_worklist_direct_stats, explore_worklist_direct_traced_stats,
-    explore_worklist_elastic_stats, explore_worklist_elastic_traced_stats,
-    explore_worklist_parallel_stats, explore_worklist_parallel_traced_stats,
+    explore_worklist_direct_stats, explore_worklist_direct_traced_stats,
     explore_worklist_rescan_stats, explore_worklist_stats, explore_worklist_structural_stats,
-    with_state_gc, Budget, DirectCollecting, EngineError, EngineStats, FrontierCollecting,
-    LadderReport, Outcome, ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
+    with_state_gc, Budget, DirectCollecting, EngineStats, FrontierCollecting, Outcome,
+    SharedResumeSeed, SolveFrom,
 };
 use mai_core::gc::{reachable, GcStrategy, Touches};
 use mai_core::lattice::{KleeneOutcome, Lattice};
@@ -250,98 +248,6 @@ where
     )
 }
 
-/// [`analyse_worklist_parallel`], governed: budget and cancellation are
-/// checked at every barrier, and a panicked worker surfaces as a clean
-/// [`EngineError`] instead of deadlocking the pool.
-pub fn analyse_worklist_parallel_governed<C, S, Fp>(
-    program: &CExp,
-    threads: usize,
-    budget: &Budget,
-) -> Result<(Outcome<Fp, Fp::Seed>, EngineStats), EngineError>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Fresh(PState::inject(program.clone())),
-        threads,
-        budget,
-    )
-}
-
-/// [`analyse_worklist_elastic`], governed: budget and cancellation are
-/// checked at every epoch boundary (cancel latency is at most one epoch).
-pub fn analyse_worklist_elastic_governed<C, S, Fp>(
-    program: &CExp,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> Result<(Outcome<Fp, Fp::Seed>, EngineStats), EngineError>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_elastic_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Fresh(PState::inject(program.clone())),
-        config,
-        budget,
-    )
-}
-
-/// The outcome type of a ladder solve over the shared-store CPS domain.
-pub type LadderOutcome<C, S> = Outcome<
-    SharedStoreDomain<PState<<C as Context>::Addr>, C, S>,
-    SharedResumeSeed<PState<<C as Context>::Addr>, C, S>,
->;
-
-/// [`analyse_worklist_elastic`] behind the full degradation ladder:
-/// elastic → barrier → sequential direct.  A faulted parallel rung is
-/// reported in the [`LadderReport`]; the returned fixpoint is byte-identical
-/// to [`analyse_worklist_direct`] no matter which rung completed.
-pub fn analyse_worklist_ladder<C, S>(
-    program: &CExp,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (LadderOutcome<C, S>, EngineStats, LadderReport)
-where
-    C: Context + std::hash::Hash,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>>
-        + mai_core::store::StoreDelta<C::Addr>
-        + mai_core::lattice::WidenLattice
-        + Value,
-{
-    explore_frontier_ladder(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
-        config,
-        budget,
-    )
-}
-
-/// Like [`analyse_worklist_direct`], but solved by the **sharded parallel
-/// driver** ([`mai_core::engine::parallel`]) on `threads` worker threads:
-/// the frontier is sharded across workers (work-stealing by `StateId`
-/// ranges), each worker steps against a snapshot of the global store, and
-/// per-shard deltas are joined at a sync barrier each round.  Byte-identical
-/// fixpoint — and identical deterministic work counters — to
-/// [`analyse_worklist_direct`] at every thread count; the sequential direct
-/// engine remains the determinism oracle.
-pub fn analyse_worklist_parallel<C, S, Fp>(program: &CExp, threads: usize) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    explore_worklist_parallel_stats(
-        crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
-        threads,
-    )
-}
-
 /// [`analyse_worklist_direct`] with a [`TraceSink`](mai_core::telemetry::TraceSink)
 /// observing the solve: per-round phase timings, store-join traffic and
 /// hot-state attribution.  Identical fixpoint and identical deterministic
@@ -361,110 +267,6 @@ where
     explore_worklist_direct_traced_stats(
         crate::direct::mnext_direct::<C, S>,
         PState::inject(program.clone()),
-        sink,
-    )
-}
-
-/// Like [`analyse_gc_worklist_direct`], but solved by the sharded parallel
-/// driver (abstract GC as the per-branch [`with_state_gc`] store
-/// restriction, inside each worker).
-pub fn analyse_gc_worklist_parallel<C, S, Fp>(program: &CExp, threads: usize) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    explore_worklist_parallel_stats(
-        with_state_gc(crate::direct::mnext_direct::<C, S>),
-        PState::inject(program.clone()),
-        threads,
-    )
-}
-
-/// Like [`analyse_worklist_parallel`], but solved by the **barrier-elastic
-/// driver** ([`mai_core::engine::parallel::elastic`]): workers advance
-/// private sub-frontiers for up to [`ParallelConfig::epochs`] epochs
-/// between barriers, merging per-shard store deltas lazily.  The fixpoint
-/// stays byte-identical to [`analyse_worklist_direct`]; the *work
-/// counters* become timing-dependent (`epochs = 1` delegates to the
-/// barrier engine, deterministic counters and all).
-pub fn analyse_worklist_elastic<C, S, Fp>(
-    program: &CExp,
-    config: ParallelConfig,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    explore_worklist_elastic_stats(
-        crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
-        config,
-    )
-}
-
-/// [`analyse_worklist_elastic`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve
-/// (per-round, per-worker, per-epoch and per-merge profiles).
-pub fn analyse_worklist_elastic_traced<C, S, Fp, T>(
-    program: &CExp,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    explore_worklist_elastic_traced_stats(
-        crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
-        config,
-        sink,
-    )
-}
-
-/// Like [`analyse_gc_worklist_parallel`], but on the barrier-elastic
-/// driver.
-pub fn analyse_gc_worklist_elastic<C, S, Fp>(
-    program: &CExp,
-    config: ParallelConfig,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    explore_worklist_elastic_stats(
-        with_state_gc(crate::direct::mnext_direct::<C, S>),
-        PState::inject(program.clone()),
-        config,
-    )
-}
-
-/// [`analyse_worklist_parallel`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve:
-/// per-round phase timings **plus one
-/// [`WorkerSpan`](mai_core::telemetry::WorkerSpan) per worker per round**
-/// and a [`StealTrace`](mai_core::telemetry::StealTrace) per stolen chunk —
-/// the decomposition of E12's sync overhead.
-pub fn analyse_worklist_parallel_traced<C, S, Fp, T>(
-    program: &CExp,
-    threads: usize,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Val<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    explore_worklist_parallel_traced_stats(
-        crate::direct::mnext_direct::<C, S>,
-        PState::inject(program.clone()),
-        threads,
         sink,
     )
 }
@@ -677,97 +479,6 @@ pub fn analyse_mono_direct(program: &CExp) -> (MonoShared, EngineStats) {
     analyse_worklist_direct::<MonoCtx, BasicStore<MonoAddr, Val<MonoAddr>>, _>(program)
 }
 
-/// [`analyse_kcfa_shared_direct`] solved by the sharded parallel driver —
-/// the E12 measurement subject.
-pub fn analyse_kcfa_shared_parallel<const K: usize>(
-    program: &CExp,
-    threads: usize,
-) -> (KCfaShared<K>, EngineStats) {
-    analyse_worklist_parallel::<KCallCtx<K>, KStore, _>(program, threads)
-}
-
-/// [`analyse_kcfa_shared_parallel`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve —
-/// the E13 measurement subject (per-round, per-worker profiles).
-pub fn analyse_kcfa_shared_parallel_traced<const K: usize, T>(
-    program: &CExp,
-    threads: usize,
-    sink: &mut T,
-) -> (KCfaShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_parallel_traced::<KCallCtx<K>, KStore, _, T>(program, threads, sink)
-}
-
-/// [`analyse_kcfa_shared_gc_direct`] solved by the sharded parallel driver.
-pub fn analyse_kcfa_shared_gc_parallel<const K: usize>(
-    program: &CExp,
-    threads: usize,
-) -> (KCfaShared<K>, EngineStats) {
-    analyse_gc_worklist_parallel::<KCallCtx<K>, KStore, _>(program, threads)
-}
-
-/// [`analyse_mono_direct`] solved by the sharded parallel driver.
-pub fn analyse_mono_parallel(program: &CExp, threads: usize) -> (MonoShared, EngineStats) {
-    analyse_worklist_parallel::<MonoCtx, BasicStore<MonoAddr, Val<MonoAddr>>, _>(program, threads)
-}
-
-/// [`analyse_kcfa_with_count_direct`] solved by the sharded parallel
-/// driver.
-pub fn analyse_kcfa_with_count_parallel<const K: usize>(
-    program: &CExp,
-    threads: usize,
-) -> (KCfaCounting<K>, EngineStats) {
-    analyse_worklist_parallel::<KCallCtx<K>, KCountingStore, _>(program, threads)
-}
-
-/// [`analyse_kcfa_shared_direct`] solved by the barrier-elastic driver —
-/// the E14 measurement subject.
-pub fn analyse_kcfa_shared_elastic<const K: usize>(
-    program: &CExp,
-    config: ParallelConfig,
-) -> (KCfaShared<K>, EngineStats) {
-    analyse_worklist_elastic::<KCallCtx<K>, KStore, _>(program, config)
-}
-
-/// [`analyse_kcfa_shared_elastic`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve
-/// (per-round, per-worker, per-epoch and per-merge profiles).
-pub fn analyse_kcfa_shared_elastic_traced<const K: usize, T>(
-    program: &CExp,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (KCfaShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_elastic_traced::<KCallCtx<K>, KStore, _, T>(program, config, sink)
-}
-
-/// [`analyse_kcfa_shared_gc_direct`] solved by the barrier-elastic driver.
-pub fn analyse_kcfa_shared_gc_elastic<const K: usize>(
-    program: &CExp,
-    config: ParallelConfig,
-) -> (KCfaShared<K>, EngineStats) {
-    analyse_gc_worklist_elastic::<KCallCtx<K>, KStore, _>(program, config)
-}
-
-/// [`analyse_mono_direct`] solved by the barrier-elastic driver.
-pub fn analyse_mono_elastic(program: &CExp, config: ParallelConfig) -> (MonoShared, EngineStats) {
-    analyse_worklist_elastic::<MonoCtx, BasicStore<MonoAddr, Val<MonoAddr>>, _>(program, config)
-}
-
-/// [`analyse_kcfa_with_count_direct`] solved by the barrier-elastic
-/// driver (abstract counting commutes with lazy merging: the counting
-/// store's join is the analysis join).
-pub fn analyse_kcfa_with_count_elastic<const K: usize>(
-    program: &CExp,
-    config: ParallelConfig,
-) -> (KCfaCounting<K>, EngineStats) {
-    analyse_worklist_elastic::<KCallCtx<K>, KCountingStore, _>(program, config)
-}
-
 /// The resume seed of a governed shared-store k-CFA solve.
 pub type KCfaSeed<const K: usize> = SharedResumeSeed<PState<KCallAddr>, KCallCtx<K>, KStore>;
 
@@ -785,38 +496,6 @@ pub fn analyse_kcfa_shared_resume<const K: usize>(
     budget: &Budget,
 ) -> (Outcome<KCfaShared<K>, KCfaSeed<K>>, EngineStats) {
     analyse_resume_governed::<KCallCtx<K>, KStore, _>(seed, budget)
-}
-
-/// [`analyse_kcfa_shared_parallel`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_parallel_governed<const K: usize>(
-    program: &CExp,
-    threads: usize,
-    budget: &Budget,
-) -> Result<(Outcome<KCfaShared<K>, KCfaSeed<K>>, EngineStats), EngineError> {
-    analyse_worklist_parallel_governed::<KCallCtx<K>, KStore, _>(program, threads, budget)
-}
-
-/// [`analyse_kcfa_shared_elastic`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_elastic_governed<const K: usize>(
-    program: &CExp,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> Result<(Outcome<KCfaShared<K>, KCfaSeed<K>>, EngineStats), EngineError> {
-    analyse_worklist_elastic_governed::<KCallCtx<K>, KStore, _>(program, config, budget)
-}
-
-/// [`analyse_kcfa_shared_elastic`] behind the degradation ladder
-/// (elastic → barrier → sequential direct).
-pub fn analyse_kcfa_shared_ladder<const K: usize>(
-    program: &CExp,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (
-    Outcome<KCfaShared<K>, KCfaSeed<K>>,
-    EngineStats,
-    LadderReport,
-) {
-    analyse_worklist_ladder::<KCallCtx<K>, KStore>(program, config, budget)
 }
 
 /// How many distinct environments the states of a shared-store fixpoint

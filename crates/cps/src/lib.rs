@@ -55,12 +55,9 @@ pub use analysis::{
 };
 pub use analysis::{
     analyse_gc_worklist_direct, analyse_kcfa_direct, analyse_kcfa_shared_direct,
-    analyse_kcfa_shared_direct_traced, analyse_kcfa_shared_elastic,
-    analyse_kcfa_shared_elastic_traced, analyse_kcfa_shared_gc_direct,
-    analyse_kcfa_shared_gc_elastic, analyse_kcfa_shared_parallel_traced,
-    analyse_kcfa_with_count_direct, analyse_kcfa_with_count_elastic, analyse_mono_direct,
-    analyse_mono_elastic, analyse_worklist_direct, analyse_worklist_direct_traced,
-    analyse_worklist_elastic_traced, analyse_worklist_parallel_traced,
+    analyse_kcfa_shared_direct_traced, analyse_kcfa_shared_gc_direct,
+    analyse_kcfa_with_count_direct, analyse_mono_direct, analyse_worklist_direct,
+    analyse_worklist_direct_traced,
 };
 pub use concrete::{interpret, interpret_with_limit, Heap, HeapAddr, Outcome};
 pub use convert::cps_convert;

@@ -136,9 +136,9 @@ pub fn kcfa_worst_case(n: usize) -> CExp {
 /// `width` lanes wide instead of `width` times longer: total state count
 /// and call-site count still grow as `n × width`, but the *frontier* of
 /// the fixpoint engines now carries `≈ width` states per round.  This is
-/// what makes the family both the E10/E11 wall-clock workload and the E12
-/// parallel-scaling workload — a sharded driver has `width`-way work every
-/// round, while a chain-shaped scale knob would leave nothing to shard.
+/// what makes the family the E10/E11 wall-clock workload: a wide frontier
+/// loads the engine's per-round bookkeeping, where a chain-shaped scale
+/// knob would step one state per round.
 ///
 /// `kcfa_worst_case_scaled(n, 1)` is byte-for-byte [`kcfa_worst_case`]`(n)`.
 pub fn kcfa_worst_case_scaled(n: usize, width: usize) -> CExp {

@@ -49,12 +49,9 @@ pub use analysis::{
     distinct_env_count, result_classes, FjAnalyser, FjGc,
 };
 pub use analysis::{
-    analyse_kcfa_shared_direct, analyse_kcfa_shared_direct_traced, analyse_kcfa_shared_elastic,
-    analyse_kcfa_shared_elastic_traced, analyse_kcfa_shared_gc_direct,
-    analyse_kcfa_shared_gc_elastic, analyse_kcfa_shared_parallel_traced,
-    analyse_kcfa_with_count_direct, analyse_mono_direct, analyse_mono_elastic,
-    analyse_with_gc_worklist_direct, analyse_worklist_direct, analyse_worklist_direct_traced,
-    analyse_worklist_elastic_traced, analyse_worklist_parallel_traced,
+    analyse_kcfa_shared_direct, analyse_kcfa_shared_direct_traced, analyse_kcfa_shared_gc_direct,
+    analyse_kcfa_with_count_direct, analyse_mono_direct, analyse_with_gc_worklist_direct,
+    analyse_worklist_direct, analyse_worklist_direct_traced,
 };
 pub use concrete::{run, run_with_limit, Outcome};
 pub use direct::mnext_direct;

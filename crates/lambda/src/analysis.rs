@@ -11,12 +11,10 @@ use std::collections::BTreeSet;
 use mai_core::addr::{Context, NamedAddress};
 use mai_core::collect::{run_analysis, with_gc, Collecting, PerStateDomain, SharedStoreDomain};
 use mai_core::engine::{
-    explore_frontier_ladder, explore_worklist_direct_stats, explore_worklist_direct_traced_stats,
-    explore_worklist_elastic_stats, explore_worklist_elastic_traced_stats,
-    explore_worklist_parallel_stats, explore_worklist_parallel_traced_stats,
+    explore_worklist_direct_stats, explore_worklist_direct_traced_stats,
     explore_worklist_rescan_stats, explore_worklist_stats, explore_worklist_structural_stats,
-    with_state_gc, Budget, DirectCollecting, EngineError, EngineStats, FrontierCollecting,
-    LadderReport, Outcome, ParallelCollecting, ParallelConfig, SharedResumeSeed, SolveFrom,
+    with_state_gc, Budget, DirectCollecting, EngineStats, FrontierCollecting, Outcome,
+    SharedResumeSeed, SolveFrom,
 };
 use mai_core::gc::Touches;
 use mai_core::gc::{reachable, GcStrategy};
@@ -232,123 +230,6 @@ where
     )
 }
 
-/// Like [`analyse_worklist_direct`], but solved by the **sharded parallel
-/// driver** ([`mai_core::engine::parallel`]) on `threads` worker threads:
-/// the frontier is sharded across workers (work-stealing by `StateId`
-/// ranges), each worker steps against a snapshot of the global store, and
-/// per-shard deltas are joined at a sync barrier each round.  Byte-identical
-/// fixpoint — and identical deterministic work counters — to
-/// [`analyse_worklist_direct`] at every thread count; the sequential direct
-/// engine remains the determinism oracle.
-pub fn analyse_worklist_parallel<C, S, Fp>(term: &Term, threads: usize) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    explore_worklist_parallel_stats(
-        crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-        threads,
-    )
-}
-
-/// [`analyse_worklist_parallel`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve:
-/// per-round phase timings plus one
-/// [`WorkerSpan`](mai_core::telemetry::WorkerSpan) per worker per round
-/// and a [`StealTrace`](mai_core::telemetry::StealTrace) per stolen chunk.
-pub fn analyse_worklist_parallel_traced<C, S, Fp, T>(
-    term: &Term,
-    threads: usize,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    explore_worklist_parallel_traced_stats(
-        crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-        threads,
-        sink,
-    )
-}
-
-/// Like [`analyse_with_gc_worklist_direct`], but solved by the sharded
-/// parallel driver (abstract GC as the per-branch [`with_state_gc`] store
-/// restriction, inside each worker).
-pub fn analyse_with_gc_parallel<C, S, Fp>(term: &Term, threads: usize) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    explore_worklist_parallel_stats(
-        with_state_gc(crate::direct::mnext_direct::<C, S>),
-        PState::inject(term.clone()),
-        threads,
-    )
-}
-
-/// Like [`analyse_worklist_parallel`], but solved by the **barrier-elastic
-/// driver** ([`mai_core::engine::parallel::elastic`]): workers advance
-/// private sub-frontiers for up to [`ParallelConfig::epochs`] epochs
-/// between barriers, merging per-shard store deltas lazily.  The fixpoint
-/// stays byte-identical to [`analyse_worklist_direct`]; the *work
-/// counters* become timing-dependent (`epochs = 1` delegates to the
-/// barrier engine, deterministic counters and all).
-pub fn analyse_worklist_elastic<C, S, Fp>(term: &Term, config: ParallelConfig) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    explore_worklist_elastic_stats(
-        crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-        config,
-    )
-}
-
-/// [`analyse_worklist_elastic`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve
-/// (per-round, per-worker, per-epoch and per-merge profiles).
-pub fn analyse_worklist_elastic_traced<C, S, Fp, T>(
-    term: &Term,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-    T: mai_core::telemetry::TraceSink,
-{
-    explore_worklist_elastic_traced_stats(
-        crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-        config,
-        sink,
-    )
-}
-
-/// Like [`analyse_with_gc_parallel`], but on the barrier-elastic driver.
-pub fn analyse_with_gc_elastic<C, S, Fp>(term: &Term, config: ParallelConfig) -> (Fp, EngineStats)
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    explore_worklist_elastic_stats(
-        with_state_gc(crate::direct::mnext_direct::<C, S>),
-        PState::inject(term.clone()),
-        config,
-    )
-}
-
 /// Like [`analyse_worklist_direct`], but *governed*: the solve consults
 /// `budget` at every round boundary and returns an [`Outcome`] — either the
 /// complete fixpoint or an `Exhausted` partial whose resume seed reaches
@@ -391,77 +272,6 @@ where
         budget,
     )
 }
-
-/// [`analyse_worklist_parallel`], governed: budget and cancellation are
-/// checked at every barrier, and a panicked worker surfaces as a clean
-/// [`EngineError`] instead of deadlocking the pool.
-pub fn analyse_worklist_parallel_governed<C, S, Fp>(
-    term: &Term,
-    threads: usize,
-    budget: &Budget,
-) -> Result<(Outcome<Fp, Fp::Seed>, EngineStats), EngineError>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_parallel_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Fresh(PState::inject(term.clone())),
-        threads,
-        budget,
-    )
-}
-
-/// [`analyse_worklist_elastic`], governed: budget and cancellation are
-/// checked at every epoch boundary (cancel latency is at most one epoch).
-pub fn analyse_worklist_elastic_governed<C, S, Fp>(
-    term: &Term,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> Result<(Outcome<Fp, Fp::Seed>, EngineStats), EngineError>
-where
-    C: Context,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>> + Value,
-    Fp: ParallelCollecting<PState<C::Addr>, C, S>,
-{
-    Fp::explore_frontier_elastic_governed(
-        &crate::direct::mnext_direct::<C, S>,
-        SolveFrom::Fresh(PState::inject(term.clone())),
-        config,
-        budget,
-    )
-}
-
-/// [`analyse_worklist_elastic`] behind the full degradation ladder:
-/// elastic → barrier → sequential direct.  A faulted parallel rung is
-/// reported in the [`LadderReport`]; the returned fixpoint is byte-identical
-/// to [`analyse_worklist_direct`] no matter which rung completed.
-pub fn analyse_worklist_ladder<C, S>(
-    term: &Term,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (LadderOutcome<C, S>, EngineStats, LadderReport)
-where
-    C: Context + std::hash::Hash,
-    S: StoreLike<C::Addr, D = BTreeSet<Storable<C::Addr>>>
-        + mai_core::store::StoreDelta<C::Addr>
-        + mai_core::lattice::WidenLattice
-        + Value,
-{
-    explore_frontier_ladder(
-        &crate::direct::mnext_direct::<C, S>,
-        PState::inject(term.clone()),
-        config,
-        budget,
-    )
-}
-
-/// The outcome type of a ladder solve over the shared-store CESK domain.
-pub type LadderOutcome<C, S> = Outcome<
-    SharedStoreDomain<PState<<C as Context>::Addr>, C, S>,
-    SharedResumeSeed<PState<<C as Context>::Addr>, C, S>,
->;
 
 /// Like [`analyse_worklist`], but solved by the PR-2 *structural-key*
 /// incremental engine (states as `BTreeMap` keys instead of interned ids) —
@@ -667,87 +477,6 @@ pub fn analyse_kcfa_with_count_direct<const K: usize>(
     analyse_worklist_direct::<KCallCtx<K>, KCeskCountingStore, _>(term)
 }
 
-/// [`analyse_kcfa_shared_direct`] solved by the sharded parallel driver.
-pub fn analyse_kcfa_shared_parallel<const K: usize>(
-    term: &Term,
-    threads: usize,
-) -> (KCeskShared<K>, EngineStats) {
-    analyse_worklist_parallel::<KCallCtx<K>, KCeskStore, _>(term, threads)
-}
-
-/// [`analyse_kcfa_shared_parallel`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve
-/// (per-round, per-worker profiles).
-pub fn analyse_kcfa_shared_parallel_traced<const K: usize, T>(
-    term: &Term,
-    threads: usize,
-    sink: &mut T,
-) -> (KCeskShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_parallel_traced::<KCallCtx<K>, KCeskStore, _, T>(term, threads, sink)
-}
-
-/// [`analyse_kcfa_shared_gc_direct`] solved by the sharded parallel driver.
-pub fn analyse_kcfa_shared_gc_parallel<const K: usize>(
-    term: &Term,
-    threads: usize,
-) -> (KCeskShared<K>, EngineStats) {
-    analyse_with_gc_parallel::<KCallCtx<K>, KCeskStore, _>(term, threads)
-}
-
-/// [`analyse_mono_direct`] solved by the sharded parallel driver.
-pub fn analyse_mono_parallel(term: &Term, threads: usize) -> (MonoCeskShared, EngineStats) {
-    analyse_worklist_parallel::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(term, threads)
-}
-
-/// [`analyse_kcfa_with_count_direct`] solved by the sharded parallel
-/// driver.
-pub fn analyse_kcfa_with_count_parallel<const K: usize>(
-    term: &Term,
-    threads: usize,
-) -> (
-    SharedStoreDomain<PState<KCallAddr>, KCallCtx<K>, KCeskCountingStore>,
-    EngineStats,
-) {
-    analyse_worklist_parallel::<KCallCtx<K>, KCeskCountingStore, _>(term, threads)
-}
-
-/// [`analyse_kcfa_shared_direct`] solved by the barrier-elastic driver.
-pub fn analyse_kcfa_shared_elastic<const K: usize>(
-    term: &Term,
-    config: ParallelConfig,
-) -> (KCeskShared<K>, EngineStats) {
-    analyse_worklist_elastic::<KCallCtx<K>, KCeskStore, _>(term, config)
-}
-
-/// [`analyse_kcfa_shared_elastic`] with a
-/// [`TraceSink`](mai_core::telemetry::TraceSink) observing the solve.
-pub fn analyse_kcfa_shared_elastic_traced<const K: usize, T>(
-    term: &Term,
-    config: ParallelConfig,
-    sink: &mut T,
-) -> (KCeskShared<K>, EngineStats)
-where
-    T: mai_core::telemetry::TraceSink,
-{
-    analyse_worklist_elastic_traced::<KCallCtx<K>, KCeskStore, _, T>(term, config, sink)
-}
-
-/// [`analyse_kcfa_shared_gc_direct`] solved by the barrier-elastic driver.
-pub fn analyse_kcfa_shared_gc_elastic<const K: usize>(
-    term: &Term,
-    config: ParallelConfig,
-) -> (KCeskShared<K>, EngineStats) {
-    analyse_with_gc_elastic::<KCallCtx<K>, KCeskStore, _>(term, config)
-}
-
-/// [`analyse_mono_direct`] solved by the barrier-elastic driver.
-pub fn analyse_mono_elastic(term: &Term, config: ParallelConfig) -> (MonoCeskShared, EngineStats) {
-    analyse_worklist_elastic::<MonoCtx, BasicStore<MonoAddr, Storable<MonoAddr>>, _>(term, config)
-}
-
 /// The resume seed of a governed shared-store k-CFA solve.
 pub type KCeskSeed<const K: usize> = SharedResumeSeed<PState<KCallAddr>, KCallCtx<K>, KCeskStore>;
 
@@ -765,38 +494,6 @@ pub fn analyse_kcfa_shared_resume<const K: usize>(
     budget: &Budget,
 ) -> (Outcome<KCeskShared<K>, KCeskSeed<K>>, EngineStats) {
     analyse_resume_governed::<KCallCtx<K>, KCeskStore, _>(seed, budget)
-}
-
-/// [`analyse_kcfa_shared_parallel`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_parallel_governed<const K: usize>(
-    term: &Term,
-    threads: usize,
-    budget: &Budget,
-) -> Result<(Outcome<KCeskShared<K>, KCeskSeed<K>>, EngineStats), EngineError> {
-    analyse_worklist_parallel_governed::<KCallCtx<K>, KCeskStore, _>(term, threads, budget)
-}
-
-/// [`analyse_kcfa_shared_elastic`], governed by a [`Budget`].
-pub fn analyse_kcfa_shared_elastic_governed<const K: usize>(
-    term: &Term,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> Result<(Outcome<KCeskShared<K>, KCeskSeed<K>>, EngineStats), EngineError> {
-    analyse_worklist_elastic_governed::<KCallCtx<K>, KCeskStore, _>(term, config, budget)
-}
-
-/// [`analyse_kcfa_shared_elastic`] behind the degradation ladder
-/// (elastic → barrier → sequential direct).
-pub fn analyse_kcfa_shared_ladder<const K: usize>(
-    term: &Term,
-    config: ParallelConfig,
-    budget: &Budget,
-) -> (
-    Outcome<KCeskShared<K>, KCeskSeed<K>>,
-    EngineStats,
-    LadderReport,
-) {
-    analyse_worklist_ladder::<KCallCtx<K>, KCeskStore>(term, config, budget)
 }
 
 /// The abstract errors observable in a set of reachable states: the

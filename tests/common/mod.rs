@@ -2,7 +2,7 @@
 //!
 //! The committed seeds and the deterministic λ-term generator they drive
 //! are used by both `tests/differential.rs` (the engine pentagon) and
-//! `tests/governance.rs` (budgets, resume, faults), so the corpus the two
+//! `tests/governance.rs` (budgets, resume, cancellation), so the corpus the two
 //! suites exercise is literally the same set of programs.  Each seed
 //! drives a deterministic xorshift generator from which a λ-term is
 //! drawn; the corpus they induce is fixed until this list (or the
@@ -28,9 +28,6 @@ pub const COMMITTED_SEEDS: [u64; 10] = [
     0x7FFF_FFFF_FFFF_FFF1,
     0x8000_0000_0000_0001,
 ];
-
-/// The thread counts every parallel differential run is replayed at.
-pub const PARALLEL_THREADS: [usize; 3] = [1, 2, 4];
 
 /// The label-free shape of a generated term; conversion assigns labels
 /// through a `TermBuilder` in a deterministic traversal order.

@@ -1,9 +1,8 @@
 //! Tracing is observation, never behaviour: the on/off parity suite.
 //!
-//! Every rung of the fixpoint ladder — Kleene iteration (`explore_fp`),
-//! the rescanning and structural worklist engines, the id-indexed
-//! incremental engine, the direct-carrier engine and the sharded parallel
-//! driver — has a `_traced` entry point that threads a
+//! Every fixpoint engine — Kleene iteration (`explore_fp`), the
+//! rescanning and structural worklist engines, the id-indexed incremental
+//! engine and the direct-carrier engine — has a `_traced` entry point that threads a
 //! [`TraceSink`](monadic_ai::core::telemetry::TraceSink) through the
 //! solve.  The telemetry layer's central guarantee is that the sink is
 //! write-only: attaching a recording [`TraceBuffer`] must reproduce the
@@ -43,17 +42,13 @@ fn corpus() -> Vec<monadic_ai::cps::syntax::CExp> {
     ]
 }
 
-/// Sequential rounds decompose into step + join only; the sync share is
-/// the parallel driver's alone.
+/// One round record per solver round, whose joins and rebuild flags add
+/// up to the engine's counters.
 fn assert_sequential_rounds(trace: &TraceBuffer, stats: &EngineStats, label: &str) {
     assert_eq!(
         trace.rounds.len(),
         stats.iterations,
         "{label}: one RoundTrace per solver round"
-    );
-    assert!(
-        trace.rounds.iter().all(|r| r.sync_ns == 0),
-        "{label}: sequential engines have no sync phase"
     );
     assert_eq!(
         trace.rounds.iter().map(|r| r.joins).sum::<usize>(),
@@ -80,7 +75,6 @@ fn kleene_traced_matches_untraced() {
         );
         assert_eq!(traced, untraced, "Kleene fixpoint changed under tracing");
         assert!(!trace.rounds.is_empty());
-        assert!(trace.rounds.iter().all(|r| r.sync_ns == 0));
         // Kleene re-steps the whole domain each round, so the frontier is
         // the domain size and grows monotonically.
         let frontiers: Vec<usize> = trace.rounds.iter().map(|r| r.frontier).collect();
@@ -162,66 +156,12 @@ fn direct_engine_traced_matches_untraced_across_languages() {
 }
 
 #[test]
-fn parallel_driver_traced_matches_untraced() {
-    let program = kcfa_worst_case_scaled(2, 4);
-    for threads in [1usize, 2, 4] {
-        let (untraced, stats) = cps::analysis::analyse_kcfa_shared_parallel::<1>(&program, threads);
-        let mut trace = TraceBuffer::new();
-        let (traced, traced_stats) = cps::analysis::analyse_kcfa_shared_parallel_traced::<1, _>(
-            &program, threads, &mut trace,
-        );
-        assert_eq!(
-            traced, untraced,
-            "t{threads}: parallel fixpoint changed under tracing"
-        );
-        // `steal_events` and `shard_imbalance` are scheduling gauges (how
-        // often a worker ran dry and claimed a chunk, how unevenly the
-        // shards' work fell), and `stripe_acquisitions` counts interner
-        // lock traffic (the traced run resolves extra labels) — all
-        // legitimately different between any two runs; every deterministic
-        // counter must agree exactly.
-        let normalise = |mut s: EngineStats| {
-            s.steal_events = 0;
-            s.shard_imbalance = 0;
-            s.stripe_acquisitions = 0;
-            s
-        };
-        assert_eq!(
-            normalise(traced_stats),
-            normalise(stats),
-            "t{threads}: parallel work counters changed under tracing"
-        );
-        assert_eq!(trace.rounds.len(), stats.iterations);
-        // Worker spans cover every phase of every round: rebuild rounds
-        // run two phases, and a singleton frontier is stepped inline by
-        // the coordinator (one span) instead of waking the pool.  The
-        // per-worker occupancy sums to the engine's step counter.
-        let phases = stats.iterations + stats.rebuild_rounds;
-        assert!(trace.workers.len() >= phases);
-        assert!(trace.workers.len() <= threads * phases);
-        assert_eq!(
-            trace.workers.iter().map(|s| s.processed).sum::<usize>(),
-            stats.states_stepped
-        );
-        // Steal traces and the aggregate counter tell the same story about
-        // the *traced* run.
-        assert_eq!(trace.steals.len(), traced_stats.steal_events);
-        // Join-traffic attribution saw every store join.
-        assert_eq!(
-            trace.rounds.iter().map(|r| r.joins).sum::<usize>(),
-            stats.store_joins
-        );
-    }
-}
-
-#[test]
 fn chrome_trace_export_is_schema_valid() {
     use mai_bench::report::Json;
 
     let program = kcfa_worst_case_scaled(2, 4);
     let mut trace = TraceBuffer::new();
-    let (_, stats) =
-        cps::analysis::analyse_kcfa_shared_parallel_traced::<1, _>(&program, 2, &mut trace);
+    let (_, stats) = cps::analysis::analyse_kcfa_shared_direct_traced::<1, _>(&program, &mut trace);
     let chrome = trace.chrome_trace_json();
     let parsed = Json::parse(&chrome).expect("Chrome trace export parses as JSON");
     assert_eq!(
@@ -256,10 +196,4 @@ fn chrome_trace_export_is_schema_valid() {
     };
     assert_eq!(slices("step"), stats.iterations);
     assert_eq!(slices("join"), stats.iterations);
-    assert_eq!(
-        slices("worker"),
-        trace.workers.len(),
-        "one busy slice per worker span"
-    );
-    assert_eq!(slices("steal"), trace.steals.len());
 }
